@@ -630,9 +630,6 @@ impl Runtime {
         let mut host_transition_cycles = 0.0f64;
         let mut host_transitions = 0u64;
         let mut host_err: Option<String> = None;
-        let imports: Vec<String> =
-            (0..module.num_imports).map(|i| format!("import{i}")).collect();
-        let _ = imports;
 
         let stats = {
             let space = &mut self.space;

@@ -13,15 +13,27 @@
 //! [`crate::encode`] is used for fetch/i-cache accounting. This split keeps
 //! the emulator simple while preserving the size-dependent effects that the
 //! Segue evaluation needs.
+//!
+//! ## One instruction loop
+//!
+//! Committed execution and transient (wrong-path) execution share one
+//! interpreter. On a mispredicted `Jcc` or a stale BTB entry, with a
+//! [`SpecConfig`] installed, the loop snapshots the register file, runs
+//! itself in transient mode from the wrong-path target, and restores the
+//! snapshot. The transient mode spends a µop budget instead of fuel,
+//! touches the caches without counting misses, keeps taint and buffered
+//! stores in a per-window shadow, and stops where a real window would:
+//! DESIGN.md §16 has the contract.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::cache::Cache;
 use crate::cost::{CostModel, RunStats};
 use crate::encode::{encode_program, EncodeError, Encoded};
 use crate::inst::{AluOp, ShiftAmount, ShiftOp};
-use crate::{Cond, Gpr, Inst, MemFault, Program, Seg, Trap, Width};
+use crate::{Cond, Gpr, Inst, Mem, MemFault, Program, Seg, Trap, Width, Xmm};
 
 /// Per-access context handed to the bus (the MPK rights register).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +65,11 @@ impl AccessCtx {
 ///
 /// When installed on a [`Machine`], every mispredicted conditional branch
 /// and every stale-BTB indirect branch opens a transient window: up to
-/// `window` µops of the wrong path execute against *shadow* register state
-/// and a store-forwarding buffer, then roll back. Cache state is
-/// deliberately **not** rolled back — that residue is the Spectre side
-/// channel this model exists to measure.
+/// `window` µops of the wrong path run through the emulator's instruction
+/// loop against a snapshot of the register file and a store-forwarding
+/// buffer, then roll back. Cache state is deliberately **not** rolled
+/// back — that residue is the Spectre side channel this model exists to
+/// measure.
 ///
 /// The window also carries a taint tracker: a transient load from the
 /// configured secret region taints its destination register; when a
@@ -105,16 +118,6 @@ impl SpecConfig {
     /// The (possibly clamped) µop budget per window.
     pub fn window(&self) -> u32 {
         self.window
-    }
-
-    /// The tainted secret region as `(lo, hi)`.
-    pub fn secret_range(&self) -> (u64, u64) {
-        (self.secret_lo, self.secret_hi)
-    }
-
-    #[inline]
-    fn in_secret(&self, addr: u64) -> bool {
-        addr >= self.secret_lo && addr < self.secret_hi
     }
 }
 
@@ -351,6 +354,180 @@ impl Image {
     }
 }
 
+/// The branch predictors of one run: trained by committed branches, read
+/// (never trained) by transient windows.
+struct Predictors {
+    /// 2-bit counters per instruction site.
+    counters: Vec<u8>,
+    /// Last target of each indirect-branch site.
+    btb: HashMap<usize, usize>,
+}
+
+/// State private to one path through the instruction loop.
+///
+/// The committed path (`SPEC = false`) uses only its return stack: every
+/// taint query on it answers `false` and every taint write is a no-op, so
+/// taint tracking compiles out of the committed loop. A transient window
+/// (`SPEC = true`) starts from an empty return stack and also keeps its
+/// µop budget, the taint tracker and the store-forwarding buffer here, all
+/// dropped with the window.
+#[derive(Default)]
+struct Path<const SPEC: bool> {
+    /// Return addresses of the calls made on this path.
+    stack: Vec<usize>,
+    /// The window's µop budget.
+    budget: u64,
+    /// The secret region whose contents taint transient loads.
+    secret: Range<u64>,
+    /// One taint bit per GPR.
+    taint: u16,
+    /// One taint bit per XMM register.
+    xtaint: u16,
+    /// Taint of the flags.
+    flags_taint: bool,
+    /// Byte-granular store-forwarding buffer, each byte carrying taint.
+    store_buf: HashMap<u64, (u8, bool)>,
+}
+
+impl<const SPEC: bool> Path<SPEC> {
+    #[inline]
+    fn is(&self, r: Gpr) -> bool {
+        SPEC && self.taint >> r.index() & 1 == 1
+    }
+
+    /// Width-aware taint write: 32/64-bit destinations are fully
+    /// overwritten (taint replaced); 8/16-bit writes merge (taint ORs).
+    #[inline]
+    fn put(&mut self, dst: Gpr, width: Width, t: bool) {
+        let bit = 1u16 << dst.index();
+        if SPEC && t {
+            self.taint |= bit;
+        } else if SPEC && matches!(width, Width::Q | Width::D) {
+            self.taint &= !bit;
+        }
+    }
+
+    #[inline]
+    fn is_xmm(&self, x: Xmm) -> bool {
+        SPEC && self.xtaint >> x.index() & 1 == 1
+    }
+
+    #[inline]
+    fn put_xmm(&mut self, x: Xmm, t: bool) {
+        if SPEC {
+            self.xtaint = self.xtaint & !(1 << x.index()) | u16::from(t) << x.index();
+        }
+    }
+
+    #[inline]
+    fn flags(&self) -> bool {
+        SPEC && self.flags_taint
+    }
+
+    #[inline]
+    fn put_flags(&mut self, t: bool) {
+        if SPEC {
+            self.flags_taint = t;
+        }
+    }
+
+    /// Whether the address of `mem` is secret-derived.
+    #[inline]
+    fn addr(&self, mem: &Mem) -> bool {
+        mem.base.is_some_and(|b| self.is(b)) || mem.index.is_some_and(|(i, _)| self.is(i))
+    }
+
+    /// Loads `width` bytes at `ea` with their taint. The committed path
+    /// reads the bus. A transient read synthesizes secret-region bytes
+    /// deterministically (the region lives outside the architecturally
+    /// mapped sandbox, so the bus would fault), reads other addresses
+    /// through the bus with faulting loads forwarding zero, and overlays
+    /// the store buffer on both.
+    #[inline]
+    fn read<M: MemBus>(
+        &self,
+        bus: &mut M,
+        ea: u64,
+        width: Width,
+        ctx: AccessCtx,
+    ) -> Result<(u64, bool), MemFault> {
+        if !SPEC {
+            return Ok((bus.load(ea, width, ctx)?, false));
+        }
+        let mut t = self.secret.contains(&ea);
+        let mut v: u64 = if t {
+            let mut x = 0u64;
+            for i in 0..width.bytes() {
+                x |= u64::from((ea.wrapping_add(i) as u8) ^ 0xA5) << (8 * i);
+            }
+            x
+        } else {
+            bus.load(ea, width, ctx).unwrap_or(0)
+        };
+        for i in 0..width.bytes() {
+            if let Some(&(b, bt)) = self.store_buf.get(&ea.wrapping_add(i)) {
+                v = (v & !(0xFFu64 << (8 * i))) | (u64::from(b) << (8 * i));
+                t |= bt;
+            }
+        }
+        Ok((v, t))
+    }
+
+    /// Stores the low `width` bytes of `v` (taint `t`): to the bus on the
+    /// committed path, to the store-forwarding buffer on a transient one.
+    #[inline]
+    fn write<M: MemBus>(
+        &mut self,
+        bus: &mut M,
+        ea: u64,
+        width: Width,
+        v: u64,
+        t: bool,
+        ctx: AccessCtx,
+    ) -> Result<(), MemFault> {
+        if !SPEC {
+            return bus.store(ea, width, v, ctx);
+        }
+        for i in 0..width.bytes() {
+            self.store_buf.insert(ea.wrapping_add(i), ((v >> (8 * i)) as u8, t));
+        }
+        Ok(())
+    }
+
+    /// [`Path::read`] of 16 bytes (a transient one reads two quadwords).
+    #[inline]
+    fn read128<M: MemBus>(
+        &self,
+        bus: &mut M,
+        ea: u64,
+        ctx: AccessCtx,
+    ) -> Result<(u128, bool), MemFault> {
+        if !SPEC {
+            return Ok((bus.load128(ea, ctx)?, false));
+        }
+        let (lo, t0) = self.read(bus, ea, Width::Q, ctx)?;
+        let (hi, t1) = self.read(bus, ea.wrapping_add(8), Width::Q, ctx)?;
+        Ok((u128::from(lo) | u128::from(hi) << 64, t0 | t1))
+    }
+
+    /// [`Path::write`] of 16 bytes (a transient one buffers two quadwords).
+    #[inline]
+    fn write128<M: MemBus>(
+        &mut self,
+        bus: &mut M,
+        ea: u64,
+        v: u128,
+        t: bool,
+        ctx: AccessCtx,
+    ) -> Result<(), MemFault> {
+        if !SPEC {
+            return bus.store128(ea, v, ctx);
+        }
+        self.write(bus, ea, Width::Q, v as u64, t, ctx)?;
+        self.write(bus, ea.wrapping_add(8), Width::Q, (v >> 64) as u64, t, ctx)
+    }
+}
+
 /// Host-call handler: receives the host function id, registers and bus.
 ///
 /// Returns the extra cycles the host work should be charged (e.g. a bulk
@@ -395,11 +572,6 @@ impl Machine {
         }
     }
 
-    /// A machine with a custom cost model.
-    pub fn with_cost(cost: CostModel) -> Machine {
-        Machine { cost, ..Machine::new() }
-    }
-
     /// Sets the instruction budget for subsequent runs.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
@@ -422,11 +594,6 @@ impl Machine {
     /// invariant `attributed_cycles() == cycles` is untouched).
     pub fn enable_speculation(&mut self, cfg: SpecConfig) {
         self.spec = Some(cfg);
-    }
-
-    /// Removes the speculation config (back to the architectural-only model).
-    pub fn disable_speculation(&mut self) {
-        self.spec = None;
     }
 
     /// The installed speculation config, if any.
@@ -460,34 +627,11 @@ impl Machine {
         &self.icache
     }
 
-    /// Encodes and runs `program` from its first instruction with no host.
-    ///
-    /// Convenience wrapper over [`Image::load`] + [`Machine::run_image`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program fails to encode (unbound label, illegal
-    /// addressing mode) — these are compiler bugs, not runtime conditions.
-    pub fn run(&mut self, program: &Program, bus: &mut impl MemBus) -> Result<RunStats, Trap> {
-        let image = Image::load(program.clone()).expect("program must encode");
-        self.run_image(&image, bus)
-    }
-
     /// Runs a pre-encoded image from instruction 0 with no host handler.
     pub fn run_image(&mut self, image: &Image, bus: &mut impl MemBus) -> Result<RunStats, Trap> {
         self.run_image_from(image, 0, bus, &mut |f, _, _| {
             Err(Trap::BadControlFlow { target: u64::from(f) })
         })
-    }
-
-    /// Runs a pre-encoded image with a host-call handler.
-    pub fn run_image_with_host<M: MemBus>(
-        &mut self,
-        image: &Image,
-        bus: &mut M,
-        host: &mut HostHandler<'_, M>,
-    ) -> Result<RunStats, Trap> {
-        self.run_image_from(image, 0, bus, host)
     }
 
     /// Runs a pre-encoded image starting at instruction index `entry`.
@@ -498,16 +642,42 @@ impl Machine {
         bus: &mut M,
         host: &mut HostHandler<'_, M>,
     ) -> Result<RunStats, Trap> {
+        let mut stats = RunStats::default();
+        let mut bp = Predictors {
+            // 2-bit counters per instruction site (weakly taken initial state).
+            counters: vec![1; image.program.insts().len()],
+            btb: HashMap::new(),
+        };
+        let mut path = Path::<false> { stack: Vec::with_capacity(64), ..Path::default() };
+        self.exec(image, entry, &mut bp, &mut path, &mut stats, bus, host)?;
+        // Finalize total cycles *from* the buckets so the sum invariant
+        // (`attributed_cycles() == cycles`) holds bit-for-bit on every
+        // successful return; see DESIGN.md §14.
+        stats.cycles = stats.attributed_cycles();
+        Ok(stats)
+    }
+
+    /// The instruction loop, shared by committed execution (`SPEC = false`)
+    /// and transient windows (`SPEC = true`, entered only through
+    /// [`Machine::transient_window`], which documents what the mode
+    /// changes). On a transient path every `Err` is simply where the window
+    /// stops.
+    #[allow(clippy::too_many_arguments)]
+    fn exec<const SPEC: bool, M: MemBus>(
+        &mut self,
+        image: &Image,
+        mut pc: usize,
+        bp: &mut Predictors,
+        path: &mut Path<SPEC>,
+        stats: &mut RunStats,
+        bus: &mut M,
+        host: &mut HostHandler<'_, M>,
+    ) -> Result<(), Trap> {
         let prog = &image.program;
         let insts = prog.insts();
         let enc = &image.encoded;
-        let mut stats = RunStats::default();
-        let mut pc = entry;
-        let mut call_stack: Vec<usize> = Vec::with_capacity(64);
-        // 2-bit counters per instruction site (weakly taken initial state).
-        let mut predictor: Vec<u8> = vec![1; insts.len()];
-        let mut btb: HashMap<usize, usize> = HashMap::new();
-        let mut fuel = self.fuel;
+        // Committed instructions spend fuel one each; a window spends µops.
+        let mut fuel = if SPEC { path.budget } else { self.fuel };
 
         macro_rules! ctx {
             () => {
@@ -523,20 +693,45 @@ impl Machine {
             if fuel == 0 {
                 return Err(Trap::FuelExhausted);
             }
-            fuel -= 1;
-
             let inst = &insts[pc];
             let ilen = enc.inst_len(pc);
-            stats.insts += 1;
-            stats.code_bytes_fetched += ilen as u64;
             // Miss counters before this instruction: the deltas after the
             // dispatch below reconstruct exactly the penalty cycles it was
             // charged (each miss adds one fixed `*_miss_cycles` constant).
             let miss0 = (stats.icache_misses, stats.dcache_misses, stats.branch_misses);
             let mut cycles = self.cost.throughput_cycles(inst, ilen);
-            if !self.icache.access(u64::from(enc.offsets[pc])) {
+            if SPEC {
+                let uops = self.cost.uops(inst).ceil().max(1.0) as u64;
+                fuel = fuel.saturating_sub(uops);
+                stats.spec_uops += uops;
+            } else {
+                fuel -= 1;
+                stats.insts += 1;
+                stats.code_bytes_fetched += ilen as u64;
+            }
+            // Wrong-path fetches touch the I-cache too (the footprint
+            // persists); only committed misses are counted and charged.
+            if !self.icache.access(u64::from(enc.offsets[pc])) && !SPEC {
                 stats.icache_misses += 1;
                 cycles += self.cost.icache_miss_cycles;
+            }
+            // A window cannot cross divides (their latency outlives any
+            // realistic window), host transitions, serializing system
+            // writes, faults, or an lfence — the last one being exactly the
+            // mitigation contract.
+            if SPEC
+                && matches!(
+                    inst,
+                    Inst::Div { .. }
+                        | Inst::CallHost { .. }
+                        | Inst::WrGsBase { .. }
+                        | Inst::WrFsBase { .. }
+                        | Inst::WrPkru
+                        | Inst::Ud2
+                        | Inst::Lfence
+                )
+            {
+                break;
             }
 
             let mut next = pc + 1;
@@ -544,50 +739,56 @@ impl Machine {
                 Inst::MovRR { dst, src, width } => {
                     let v = width.mask(self.regs.gpr(src));
                     self.regs.write_width(dst, width, v);
+                    path.put(dst, width, path.is(src));
                 }
                 Inst::MovRI { dst, imm, width } => {
                     self.regs.write_width(dst, width, imm as u64);
+                    path.put(dst, width, false);
                 }
                 Inst::Load { dst, mem, width } => {
                     cycles += self.load_latency();
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    let (v, t) = path.read(bus, ea, width, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     // A 32-bit load zero-extends; 8/16-bit merge.
                     if width == Width::D || width == Width::Q {
                         self.regs.set_gpr(dst, width.mask(v));
                     } else {
                         self.regs.write_width(dst, width, v);
                     }
+                    path.put(dst, width, t);
                 }
                 Inst::LoadSx { dst, mem, width } => {
                     cycles += self.load_latency();
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    let (v, t) = path.read(bus, ea, width, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     self.regs.set_gpr(dst, width.sext(v));
+                    path.put(dst, Width::Q, t);
                 }
                 Inst::LoadZx { dst, mem, width } => {
                     cycles += self.load_latency();
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    let (v, t) = path.read(bus, ea, width, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     self.regs.set_gpr(dst, width.mask(v));
+                    path.put(dst, Width::Q, t);
                 }
                 Inst::Store { src, mem, width } => {
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    bus.store(ea, width, width.mask(self.regs.gpr(src)), ctx!())?;
-                    stats.stores += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    let v = width.mask(self.regs.gpr(src));
+                    path.write(bus, ea, width, v, path.is(src), ctx!())?;
+                    stats.stores += u64::from(!SPEC);
                 }
                 Inst::StoreImm { imm, mem, width } => {
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    bus.store(ea, width, width.mask(imm as i64 as u64), ctx!())?;
-                    stats.stores += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    path.write(bus, ea, width, width.mask(imm as i64 as u64), false, ctx!())?;
+                    stats.stores += u64::from(!SPEC);
                 }
                 Inst::Lea { dst, mem, width } => {
                     // lea ignores the segment base; addr32 still truncates.
@@ -602,39 +803,51 @@ impl Machine {
                         ea &= 0xFFFF_FFFF;
                     }
                     self.regs.write_width(dst, width, ea);
+                    path.put(dst, width, path.addr(&mem));
                 }
                 Inst::Movzx { dst, src, from } => {
                     self.regs.set_gpr(dst, from.mask(self.regs.gpr(src)));
+                    path.put(dst, Width::Q, path.is(src));
                 }
                 Inst::Movsx { dst, src, from } => {
                     self.regs.set_gpr(dst, from.sext(self.regs.gpr(src)));
+                    path.put(dst, Width::Q, path.is(src));
                 }
                 Inst::AluRR { op, dst, src, width } => {
                     let a = width.mask(self.regs.gpr(dst));
                     let b = width.mask(self.regs.gpr(src));
                     let r = self.alu(op, a, b, width);
+                    let t = path.is(dst) | path.is(src);
+                    path.put_flags(t);
                     if op.writes_dst() {
                         self.regs.write_width(dst, width, r);
+                        path.put(dst, width, t);
                     }
                 }
                 Inst::AluRI { op, dst, imm, width } => {
                     let a = width.mask(self.regs.gpr(dst));
                     let b = width.mask(imm as i64 as u64);
                     let r = self.alu(op, a, b, width);
+                    let t = path.is(dst);
+                    path.put_flags(t);
                     if op.writes_dst() {
                         self.regs.write_width(dst, width, r);
+                        path.put(dst, width, t);
                     }
                 }
                 Inst::AluRM { op, dst, mem, width } => {
                     cycles += self.load_latency();
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let b = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, width.bytes(), path.addr(&mem));
+                    let (b, mt) = path.read(bus, ea, width, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     let a = width.mask(self.regs.gpr(dst));
                     let r = self.alu(op, a, width.mask(b), width);
+                    let t = path.is(dst) | mt;
+                    path.put_flags(t);
                     if op.writes_dst() {
                         self.regs.write_width(dst, width, r);
+                        path.put(dst, width, t);
                     }
                 }
                 Inst::TestRR { a, b, width } => {
@@ -645,16 +858,19 @@ impl Machine {
                         cf: false,
                         of: false,
                     };
+                    path.put_flags(path.is(a) | path.is(b));
                 }
                 Inst::Imul { dst, src, width } => {
                     let r = width
                         .mask(self.regs.gpr(dst))
                         .wrapping_mul(width.mask(self.regs.gpr(src)));
                     self.regs.write_width(dst, width, width.mask(r));
+                    path.put(dst, width, path.is(dst) | path.is(src));
                 }
                 Inst::ImulRRI { dst, src, imm, width } => {
                     let r = width.mask(self.regs.gpr(src)).wrapping_mul(width.mask(imm as i64 as u64));
                     self.regs.write_width(dst, width, width.mask(r));
+                    path.put(dst, width, path.is(src));
                 }
                 Inst::Div { src, width, signed } => {
                     self.div(src, width, signed)?;
@@ -664,25 +880,32 @@ impl Machine {
                     let sign = a >> width.sign_bit() & 1 == 1;
                     let v = if sign { width.mask(u64::MAX) } else { 0 };
                     self.regs.write_width(Gpr::Rdx, width, v);
+                    path.put(Gpr::Rdx, width, path.is(Gpr::Rax));
                 }
                 Inst::Shift { op, dst, amount, width } => {
-                    let n = match amount {
-                        ShiftAmount::Imm(i) => u32::from(i),
-                        ShiftAmount::Cl => (self.regs.gpr(Gpr::Rcx) & 0xFF) as u32,
+                    let (n, amount_t) = match amount {
+                        ShiftAmount::Imm(i) => (u32::from(i), false),
+                        ShiftAmount::Cl => {
+                            ((self.regs.gpr(Gpr::Rcx) & 0xFF) as u32, path.is(Gpr::Rcx))
+                        }
                     };
                     let n = n & (width.bytes() as u32 * 8 - 1);
                     let a = width.mask(self.regs.gpr(dst));
                     let r = Self::shift_compute(op, a, n, width);
                     self.regs.write_width(dst, width, r);
+                    let t = path.is(dst) | amount_t;
+                    path.put(dst, width, t);
                     if n != 0 {
                         self.regs.flags.zf = r == 0;
                         self.regs.flags.sf = r >> width.sign_bit() & 1 == 1;
+                        path.put_flags(t);
                     }
                 }
                 Inst::Neg { dst, width } => {
                     let a = width.mask(self.regs.gpr(dst));
                     let r = self.alu(AluOp::Sub, 0, a, width);
                     self.regs.write_width(dst, width, r);
+                    path.put_flags(path.is(dst));
                 }
                 Inst::Not { dst, width } => {
                     let a = width.mask(self.regs.gpr(dst));
@@ -692,6 +915,7 @@ impl Machine {
                     if self.regs.flags.cond(cond) {
                         let v = width.mask(self.regs.gpr(src));
                         self.regs.write_width(dst, width, v);
+                        path.put(dst, width, path.is(src) | path.flags());
                     } else if width == Width::D {
                         // cmov always writes in 32-bit form (zeroes upper).
                         let v = width.mask(self.regs.gpr(dst));
@@ -701,15 +925,23 @@ impl Machine {
                 Inst::Setcc { cond, dst } => {
                     let v = u64::from(self.regs.flags.cond(cond));
                     self.regs.set_gpr(dst, v);
+                    path.put(dst, Width::Q, path.flags());
                 }
                 Inst::Jmp { target } => {
                     next = self.resolve(prog, target)?;
                     cycles += self.cost.taken_branch_cycles;
                 }
+                // Nested wrong-path branches follow the predictor read-only:
+                // the wrong path must not train the committed state.
+                Inst::Jcc { target, .. } if SPEC => {
+                    if bp.counters[pc] >= 2 {
+                        next = self.resolve(prog, target)?;
+                    }
+                }
                 Inst::Jcc { cond, target } => {
                     stats.branches += 1;
                     let taken = self.regs.flags.cond(cond);
-                    let ctr = &mut predictor[pc];
+                    let ctr = &mut bp.counters[pc];
                     let predicted_taken = *ctr >= 2;
                     *ctr = match (taken, *ctr) {
                         (true, c) if c < 3 => c + 1,
@@ -731,7 +963,7 @@ impl Machine {
                                 Some(pc + 1)
                             };
                             if let Some(start) = wrong {
-                                self.speculate(image, start, &predictor, &btb, bus, &mut stats);
+                                self.transient_window(image, start, bp, stats, bus, host);
                             }
                         }
                     }
@@ -740,97 +972,102 @@ impl Machine {
                         cycles += self.cost.taken_branch_cycles;
                     }
                 }
-                Inst::JmpReg { reg } => {
-                    stats.branches += 1;
-                    let t = self.regs.gpr(reg) as usize;
-                    if t >= insts.len() {
-                        return Err(Trap::BadControlFlow { target: t as u64 });
-                    }
-                    let prev = btb.insert(pc, t);
-                    if prev != Some(t) {
-                        stats.branch_misses += 1;
-                        cycles += self.cost.branch_miss_cycles;
-                        // Stale BTB entry: the front end speculated into the
-                        // *previous* target with the *current* register
-                        // state — the transient type-confusion channel.
-                        if let Some(old) = prev {
-                            if self.spec.is_some() {
-                                self.speculate(image, old, &predictor, &btb, bus, &mut stats);
+                Inst::JmpReg { reg } | Inst::CallReg { reg } => {
+                    let t = if SPEC {
+                        if path.is(reg) {
+                            // Secret-steered fetch: the target itself transmits.
+                            stats.spec_leaks += 1;
+                            break;
+                        }
+                        // The transient front end follows the BTB, not the
+                        // (not-yet-executed) register value.
+                        match bp.btb.get(&pc) {
+                            Some(&t) if t < insts.len() => t,
+                            _ => break,
+                        }
+                    } else {
+                        stats.branches += 1;
+                        let t = self.regs.gpr(reg) as usize;
+                        if t >= insts.len() {
+                            return Err(Trap::BadControlFlow { target: t as u64 });
+                        }
+                        let prev = bp.btb.insert(pc, t);
+                        if prev != Some(t) {
+                            stats.branch_misses += 1;
+                            cycles += self.cost.branch_miss_cycles;
+                            // Stale BTB entry: the front end speculated into
+                            // the *previous* target with the *current*
+                            // register state — the transient type-confusion
+                            // channel.
+                            if let Some(old) = prev {
+                                if self.spec.is_some() {
+                                    self.transient_window(image, old, bp, stats, bus, host);
+                                }
                             }
                         }
+                        t
+                    };
+                    if matches!(inst, Inst::CallReg { .. }) {
+                        path.stack.push(pc + 1);
                     }
                     next = t;
                     cycles += self.cost.taken_branch_cycles;
                 }
                 Inst::Call { target } => {
-                    call_stack.push(pc + 1);
+                    path.stack.push(pc + 1);
                     next = self.resolve(prog, target)?;
-                    cycles += self.cost.taken_branch_cycles;
-                }
-                Inst::CallReg { reg } => {
-                    stats.branches += 1;
-                    let t = self.regs.gpr(reg) as usize;
-                    if t >= insts.len() {
-                        return Err(Trap::BadControlFlow { target: t as u64 });
-                    }
-                    let prev = btb.insert(pc, t);
-                    if prev != Some(t) {
-                        stats.branch_misses += 1;
-                        cycles += self.cost.branch_miss_cycles;
-                        if let Some(old) = prev {
-                            if self.spec.is_some() {
-                                self.speculate(image, old, &predictor, &btb, bus, &mut stats);
-                            }
-                        }
-                    }
-                    call_stack.push(pc + 1);
-                    next = t;
                     cycles += self.cost.taken_branch_cycles;
                 }
                 Inst::CallHost { func } => {
                     stats.host_calls += 1;
                     cycles += host(func, &mut self.regs, bus)?;
                 }
-                Inst::Ret => match call_stack.pop() {
+                Inst::Ret => match path.stack.pop() {
                     Some(ra) => {
                         next = ra;
                         cycles += self.cost.taken_branch_cycles;
                     }
+                    // An empty stack ends the run. A window ends there too:
+                    // returning into the committed caller would need the
+                    // real RSB.
                     None => finished = true,
                 },
                 Inst::Push { reg } => {
                     let sp = self.regs.gpr(Gpr::Rsp).wrapping_sub(8);
                     self.regs.set_gpr(Gpr::Rsp, sp);
-                    cycles += self.data_access(&mut stats, sp, 8);
-                    bus.store(sp, Width::Q, self.regs.gpr(reg), ctx!())?;
-                    stats.stores += 1;
+                    cycles += self.data_access::<SPEC>(stats, sp, 8, path.is(Gpr::Rsp));
+                    path.write(bus, sp, Width::Q, self.regs.gpr(reg), path.is(reg), ctx!())?;
+                    stats.stores += u64::from(!SPEC);
                 }
                 Inst::Pop { reg } => {
                     cycles += self.load_latency();
                     let sp = self.regs.gpr(Gpr::Rsp);
-                    cycles += self.data_access(&mut stats, sp, 8);
-                    let v = bus.load(sp, Width::Q, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, sp, 8, path.is(Gpr::Rsp));
+                    let (v, t) = path.read(bus, sp, Width::Q, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     self.regs.set_gpr(reg, v);
                     self.regs.set_gpr(Gpr::Rsp, sp.wrapping_add(8));
+                    path.put(reg, Width::Q, t);
                 }
                 Inst::MovdquLoad { dst, mem } => {
                     cycles += self.load_latency();
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, 16);
-                    let v = bus.load128(ea, ctx!())?;
-                    stats.loads += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, 16, path.addr(&mem));
+                    let (v, t) = path.read128(bus, ea, ctx!())?;
+                    stats.loads += u64::from(!SPEC);
                     self.regs.set_xmm(dst, v);
+                    path.put_xmm(dst, t);
                 }
                 Inst::MovdquStore { src, mem } => {
                     let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, 16);
-                    bus.store128(ea, self.regs.xmm(src), ctx!())?;
-                    stats.stores += 1;
+                    cycles += self.data_access::<SPEC>(stats, ea, 16, path.addr(&mem));
+                    path.write128(bus, ea, self.regs.xmm(src), path.is_xmm(src), ctx!())?;
+                    stats.stores += u64::from(!SPEC);
                 }
                 Inst::MovdqaRR { dst, src } => {
                     let v = self.regs.xmm(src);
                     self.regs.set_xmm(dst, v);
+                    path.put_xmm(dst, path.is_xmm(src));
                 }
                 Inst::WrGsBase { src } => {
                     if !self.allow_system {
@@ -841,6 +1078,7 @@ impl Machine {
                 Inst::RdGsBase { dst } => {
                     let v = self.regs.gs_base;
                     self.regs.set_gpr(dst, v);
+                    path.put(dst, Width::Q, false);
                 }
                 Inst::WrFsBase { src } => {
                     if !self.allow_system {
@@ -857,46 +1095,50 @@ impl Machine {
                 Inst::RdPkru => {
                     let v = u64::from(self.regs.pkru);
                     self.regs.set_gpr(Gpr::Rax, v);
+                    path.put(Gpr::Rax, Width::Q, false);
                 }
                 Inst::Ud2 => return Err(Trap::Undefined),
                 Inst::Lfence => {
                     // Architecturally a no-op; its effect is that no
-                    // speculative window can cross it (see `speculate`) and
-                    // the serial-dispatch charge from the cost model.
+                    // speculative window can cross it (the window stops
+                    // above) and the serial-dispatch charge from the cost
+                    // model.
                 }
                 Inst::Nop => {}
             }
-            cycles += self.cost.serial_cycles(inst);
-            // Attribution: split this instruction's charge into its
-            // microarchitectural penalties (reconstructed from the miss
-            // deltas) and the remainder, which lands in the bucket of the
-            // provenance class the compiler tagged the instruction with.
-            let pen_i = (stats.icache_misses - miss0.0) as f64 * self.cost.icache_miss_cycles;
-            let pen_d = (stats.dcache_misses - miss0.1) as f64 * self.cost.dcache_miss_cycles;
-            let pen_b = (stats.branch_misses - miss0.2) as f64 * self.cost.branch_miss_cycles;
-            stats.icache_penalty_cycles += pen_i;
-            stats.dcache_penalty_cycles += pen_d;
-            stats.branch_penalty_cycles += pen_b;
-            stats.prov_cycles[prog.prov_at(pc).index()] += cycles - (pen_i + pen_d + pen_b);
+            if !SPEC {
+                cycles += self.cost.serial_cycles(inst);
+                // Attribution: split this instruction's charge into its
+                // microarchitectural penalties (reconstructed from the miss
+                // deltas) and the remainder, which lands in the bucket of
+                // the provenance class the compiler tagged the instruction
+                // with.
+                let pen_i = (stats.icache_misses - miss0.0) as f64 * self.cost.icache_miss_cycles;
+                let pen_d = (stats.dcache_misses - miss0.1) as f64 * self.cost.dcache_miss_cycles;
+                let pen_b = (stats.branch_misses - miss0.2) as f64 * self.cost.branch_miss_cycles;
+                stats.icache_penalty_cycles += pen_i;
+                stats.dcache_penalty_cycles += pen_d;
+                stats.branch_penalty_cycles += pen_b;
+                stats.prov_cycles[prog.prov_at(pc).index()] += cycles - (pen_i + pen_d + pen_b);
+            }
             if finished {
                 break;
             }
             pc = next;
         }
-        // Finalize total cycles *from* the buckets so the sum invariant
-        // (`attributed_cycles() == cycles`) holds bit-for-bit on every
-        // successful return; see DESIGN.md §14.
-        stats.cycles = stats.attributed_cycles();
-        Ok(stats)
+        Ok(())
     }
 
     /// Executes one transient wrong-path window starting at `start`.
     ///
-    /// Shadow state only: registers and flags are cloned and discarded,
-    /// stores land in a forwarding buffer that never reaches the bus, and
-    /// nothing is charged to `cycles` (the spec buckets are pure counters,
-    /// so the exact-sum invariant is untouched). The two effects that
-    /// persist past the rollback are the cache footprint — wrong-path
+    /// The window is the instruction loop in its transient mode: the
+    /// register file is snapshotted here and restored afterwards, stores
+    /// land in a forwarding buffer that never reaches the bus, the branch
+    /// predictors are read but never trained, the budget is
+    /// [`SpecConfig::window`] µops instead of fuel, and nothing is charged
+    /// to `cycles` or the miss counters (the spec buckets are pure
+    /// counters, so the exact-sum invariant is untouched). The two effects
+    /// that persist past the rollback are the cache footprint — wrong-path
     /// fetches and data touches stay resident, which **is** the side
     /// channel — and the taint-based leak counter.
     ///
@@ -905,437 +1147,55 @@ impl Machine {
     /// moves, shifts, and store-to-load forwarding; any transient memory
     /// access whose *address* is tainted (or an indirect branch through a
     /// tainted register) records a leak.
-    fn speculate<M: MemBus>(
+    ///
+    /// Kept out of line and cold so that the window's copy of the loop
+    /// stays out of the committed loop's body.
+    #[cold]
+    #[inline(never)]
+    fn transient_window<M: MemBus>(
         &mut self,
         image: &Image,
         start: usize,
-        predictor: &[u8],
-        btb: &HashMap<usize, usize>,
-        bus: &mut M,
+        bp: &mut Predictors,
         stats: &mut RunStats,
+        bus: &mut M,
+        host: &mut HostHandler<'_, M>,
     ) {
         let Some(spec) = self.spec else { return };
         stats.spec_flushes += 1;
-        let prog = &image.program;
-        let insts = prog.insts();
-        let enc = &image.encoded;
-        let mut regs = self.regs.clone();
-        // One taint bit per GPR / XMM register; `flags_taint` covers EFLAGS.
-        let mut taint: u16 = 0;
-        let mut xtaint: u16 = 0;
-        let mut flags_taint = false;
-        // Byte-granular store-forwarding buffer, each byte carrying taint.
-        let mut store_buf: HashMap<u64, (u8, bool)> = HashMap::new();
-        let mut spec_stack: Vec<usize> = Vec::new();
-        let mut pc = start;
-        let mut budget = i64::from(spec.window);
-
-        macro_rules! is_t {
-            ($r:expr) => {
-                taint & (1u16 << $r.index()) != 0
-            };
-        }
-        // Width-aware taint write: 32/64-bit destinations are fully
-        // overwritten (taint replaced); 8/16-bit writes merge (taint ORs).
-        macro_rules! put_t {
-            ($dst:expr, $w:expr, $t:expr) => {{
-                let bit = 1u16 << $dst.index();
-                if matches!($w, Width::Q | Width::D) {
-                    if $t {
-                        taint |= bit;
-                    } else {
-                        taint &= !bit;
-                    }
-                } else if $t {
-                    taint |= bit;
-                }
-            }};
-        }
-        // Effective address of a transient access: touches the D-cache
-        // (the persistent footprint) and records a leak when the address
-        // is secret-derived — that touch is the transmit.
-        macro_rules! mem_ea {
-            ($mem:expr, $len:expr) => {{
-                let m = $mem;
-                let ea = m.effective_addr(|r| regs.gpr(r), |s| regs.seg_base(s));
-                let mut addr_t = false;
-                if let Some(b) = m.base {
-                    addr_t |= is_t!(b);
-                }
-                if let Some((i, _)) = m.index {
-                    addr_t |= is_t!(i);
-                }
-                if addr_t {
-                    stats.spec_leaks += 1;
-                }
-                self.dcache.access_range(ea, $len);
-                ea
-            }};
-        }
-        // Transient load value + taint: secret-region bytes are synthesized
-        // deterministically (the region lives outside the architecturally
-        // mapped sandbox, so the bus would fault); other addresses read
-        // through the bus with faulting loads forwarding zero; the store
-        // buffer overlays both.
-        macro_rules! spec_load {
-            ($ea:expr, $w:expr) => {{
-                let ea: u64 = $ea;
-                let w: Width = $w;
-                let mut t = spec.in_secret(ea);
-                let mut v: u64 = if t {
-                    let mut x = 0u64;
-                    for i in 0..w.bytes() {
-                        x |= u64::from((ea.wrapping_add(i) as u8) ^ 0xA5) << (8 * i);
-                    }
-                    x
-                } else {
-                    bus.load(ea, w, AccessCtx { pkru: regs.pkru }).unwrap_or(0)
-                };
-                for i in 0..w.bytes() {
-                    if let Some(&(b, bt)) = store_buf.get(&ea.wrapping_add(i)) {
-                        v = (v & !(0xFFu64 << (8 * i))) | (u64::from(b) << (8 * i));
-                        t |= bt;
-                    }
-                }
-                (v, t)
-            }};
-        }
-        macro_rules! spec_store {
-            ($ea:expr, $w:expr, $v:expr, $t:expr) => {{
-                let ea: u64 = $ea;
-                let v: u64 = $v;
-                for i in 0..$w.bytes() {
-                    store_buf.insert(ea.wrapping_add(i), ((v >> (8 * i)) as u8, $t));
-                }
-            }};
-        }
-
-        'window: while budget > 0 && pc < insts.len() {
-            let inst = &insts[pc];
-            let uops = self.cost.uops(inst).ceil().max(1.0) as i64;
-            budget -= uops;
-            stats.spec_uops += uops as u64;
-            // Wrong-path fetch touches the I-cache; the footprint persists.
-            self.icache.access(u64::from(enc.offsets[pc]));
-            let mut next = pc + 1;
-            match *inst {
-                Inst::MovRR { dst, src, width } => {
-                    let v = width.mask(regs.gpr(src));
-                    regs.write_width(dst, width, v);
-                    let t = is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                Inst::MovRI { dst, imm, width } => {
-                    regs.write_width(dst, width, imm as u64);
-                    put_t!(dst, width, false);
-                }
-                Inst::Load { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    if width == Width::D || width == Width::Q {
-                        regs.set_gpr(dst, width.mask(v));
-                    } else {
-                        regs.write_width(dst, width, v);
-                    }
-                    put_t!(dst, width, t);
-                }
-                Inst::LoadSx { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    regs.set_gpr(dst, width.sext(v));
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::LoadZx { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    regs.set_gpr(dst, width.mask(v));
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::Store { src, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    spec_store!(ea, width, width.mask(regs.gpr(src)), is_t!(src));
-                }
-                Inst::StoreImm { imm, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    spec_store!(ea, width, width.mask(imm as i64 as u64), false);
-                }
-                Inst::Lea { dst, mem, width } => {
-                    let mut ea = mem.disp as i64 as u64;
-                    let mut t = false;
-                    if let Some(b) = mem.base {
-                        ea = ea.wrapping_add(regs.gpr(b));
-                        t |= is_t!(b);
-                    }
-                    if let Some((i, s)) = mem.index {
-                        ea = ea.wrapping_add(regs.gpr(i).wrapping_mul(s.factor()));
-                        t |= is_t!(i);
-                    }
-                    if mem.addr32 {
-                        ea &= 0xFFFF_FFFF;
-                    }
-                    regs.write_width(dst, width, ea);
-                    put_t!(dst, width, t);
-                }
-                Inst::Movzx { dst, src, from } => {
-                    regs.set_gpr(dst, from.mask(regs.gpr(src)));
-                    let t = is_t!(src);
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::Movsx { dst, src, from } => {
-                    regs.set_gpr(dst, from.sext(regs.gpr(src)));
-                    let t = is_t!(src);
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::AluRR { op, dst, src, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let b = width.mask(regs.gpr(src));
-                    let (r, f) = Self::alu_compute(op, a, b, width);
-                    regs.flags = f;
-                    let t = is_t!(dst) | is_t!(src);
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::AluRI { op, dst, imm, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let b = width.mask(imm as i64 as u64);
-                    let (r, f) = Self::alu_compute(op, a, b, width);
-                    regs.flags = f;
-                    let t = is_t!(dst);
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::AluRM { op, dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (b, mt) = spec_load!(ea, width);
-                    let a = width.mask(regs.gpr(dst));
-                    let (r, f) = Self::alu_compute(op, a, width.mask(b), width);
-                    regs.flags = f;
-                    let t = is_t!(dst) | mt;
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::TestRR { a, b, width } => {
-                    let x = width.mask(regs.gpr(a)) & width.mask(regs.gpr(b));
-                    regs.flags = Flags {
-                        zf: x == 0,
-                        sf: x >> width.sign_bit() & 1 == 1,
-                        cf: false,
-                        of: false,
-                    };
-                    flags_taint = is_t!(a) | is_t!(b);
-                }
-                Inst::Imul { dst, src, width } => {
-                    let r = width.mask(regs.gpr(dst)).wrapping_mul(width.mask(regs.gpr(src)));
-                    regs.write_width(dst, width, width.mask(r));
-                    let t = is_t!(dst) | is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                Inst::ImulRRI { dst, src, imm, width } => {
-                    let r = width.mask(regs.gpr(src)).wrapping_mul(width.mask(imm as i64 as u64));
-                    regs.write_width(dst, width, width.mask(r));
-                    let t = is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                // Divides serialize the window in this model (their latency
-                // outlives any realistic transient window).
-                Inst::Div { .. } => break 'window,
-                Inst::Cdq { width } => {
-                    let a = width.mask(regs.gpr(Gpr::Rax));
-                    let sign = a >> width.sign_bit() & 1 == 1;
-                    let v = if sign { width.mask(u64::MAX) } else { 0 };
-                    regs.write_width(Gpr::Rdx, width, v);
-                    let t = is_t!(Gpr::Rax);
-                    put_t!(Gpr::Rdx, width, t);
-                }
-                Inst::Shift { op, dst, amount, width } => {
-                    let (n0, amt_t) = match amount {
-                        ShiftAmount::Imm(i) => (u32::from(i), false),
-                        ShiftAmount::Cl => ((regs.gpr(Gpr::Rcx) & 0xFF) as u32, is_t!(Gpr::Rcx)),
-                    };
-                    let n = n0 & (width.bytes() as u32 * 8 - 1);
-                    let a = width.mask(regs.gpr(dst));
-                    let r = Self::shift_compute(op, a, n, width);
-                    regs.write_width(dst, width, r);
-                    let t = is_t!(dst) | amt_t;
-                    put_t!(dst, width, t);
-                    if n != 0 {
-                        regs.flags.zf = r == 0;
-                        regs.flags.sf = r >> width.sign_bit() & 1 == 1;
-                        flags_taint = t;
-                    }
-                }
-                Inst::Neg { dst, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let (r, f) = Self::alu_compute(AluOp::Sub, 0, a, width);
-                    regs.flags = f;
-                    regs.write_width(dst, width, r);
-                    flags_taint = is_t!(dst);
-                }
-                Inst::Not { dst, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    regs.write_width(dst, width, width.mask(!a));
-                }
-                Inst::Cmov { cond, dst, src, width } => {
-                    if regs.flags.cond(cond) {
-                        let v = width.mask(regs.gpr(src));
-                        regs.write_width(dst, width, v);
-                        let t = is_t!(src) | flags_taint;
-                        put_t!(dst, width, t);
-                    } else if width == Width::D {
-                        let v = width.mask(regs.gpr(dst));
-                        regs.set_gpr(dst, v);
-                    }
-                }
-                Inst::Setcc { cond, dst } => {
-                    let v = u64::from(regs.flags.cond(cond));
-                    regs.set_gpr(dst, v);
-                    put_t!(dst, Width::Q, flags_taint);
-                }
-                Inst::Jmp { target } => match prog.resolve(target) {
-                    Some(t) => next = t,
-                    None => break 'window,
-                },
-                Inst::Jcc { target, .. } => {
-                    // Nested branches follow the predictor (read-only: the
-                    // wrong path must not train the committed state).
-                    let predicted = predictor.get(pc).is_some_and(|&c| c >= 2);
-                    if predicted {
-                        match prog.resolve(target) {
-                            Some(t) => next = t,
-                            None => break 'window,
-                        }
-                    }
-                }
-                Inst::JmpReg { reg } => {
-                    if is_t!(reg) {
-                        // Secret-steered fetch: the target itself transmits.
-                        stats.spec_leaks += 1;
-                        break 'window;
-                    }
-                    // The transient front end follows the BTB, not the
-                    // (not-yet-executed) register value.
-                    match btb.get(&pc) {
-                        Some(&t) if t < insts.len() => next = t,
-                        _ => break 'window,
-                    }
-                }
-                Inst::Call { target } => match prog.resolve(target) {
-                    Some(t) => {
-                        spec_stack.push(pc + 1);
-                        next = t;
-                    }
-                    None => break 'window,
-                },
-                Inst::CallReg { reg } => {
-                    if is_t!(reg) {
-                        stats.spec_leaks += 1;
-                        break 'window;
-                    }
-                    match btb.get(&pc) {
-                        Some(&t) if t < insts.len() => {
-                            spec_stack.push(pc + 1);
-                            next = t;
-                        }
-                        _ => break 'window,
-                    }
-                }
-                Inst::Ret => match spec_stack.pop() {
-                    Some(ra) => next = ra,
-                    // Returning into the committed caller would need the
-                    // real RSB; end the window instead.
-                    None => break 'window,
-                },
-                // The window cannot cross host transitions, serializing
-                // system writes, faults, or an lfence — the last one being
-                // exactly the mitigation contract.
-                Inst::CallHost { .. }
-                | Inst::WrGsBase { .. }
-                | Inst::WrFsBase { .. }
-                | Inst::WrPkru
-                | Inst::Ud2
-                | Inst::Lfence => break 'window,
-                Inst::RdGsBase { dst } => {
-                    let v = regs.gs_base;
-                    regs.set_gpr(dst, v);
-                    put_t!(dst, Width::Q, false);
-                }
-                Inst::RdPkru => {
-                    let v = u64::from(regs.pkru);
-                    regs.set_gpr(Gpr::Rax, v);
-                    put_t!(Gpr::Rax, Width::Q, false);
-                }
-                Inst::Push { reg } => {
-                    let sp = regs.gpr(Gpr::Rsp).wrapping_sub(8);
-                    regs.set_gpr(Gpr::Rsp, sp);
-                    if is_t!(Gpr::Rsp) {
-                        stats.spec_leaks += 1;
-                    }
-                    self.dcache.access_range(sp, 8);
-                    spec_store!(sp, Width::Q, regs.gpr(reg), is_t!(reg));
-                }
-                Inst::Pop { reg } => {
-                    let sp = regs.gpr(Gpr::Rsp);
-                    if is_t!(Gpr::Rsp) {
-                        stats.spec_leaks += 1;
-                    }
-                    self.dcache.access_range(sp, 8);
-                    let (v, t) = spec_load!(sp, Width::Q);
-                    regs.set_gpr(reg, v);
-                    regs.set_gpr(Gpr::Rsp, sp.wrapping_add(8));
-                    put_t!(reg, Width::Q, t);
-                }
-                Inst::MovdquLoad { dst, mem } => {
-                    let ea = mem_ea!(&mem, 16);
-                    let (lo, t0) = spec_load!(ea, Width::Q);
-                    let (hi, t1) = spec_load!(ea.wrapping_add(8), Width::Q);
-                    regs.set_xmm(dst, (lo as u128) | ((hi as u128) << 64));
-                    let bit = 1u16 << dst.index();
-                    if t0 | t1 {
-                        xtaint |= bit;
-                    } else {
-                        xtaint &= !bit;
-                    }
-                }
-                Inst::MovdquStore { src, mem } => {
-                    let ea = mem_ea!(&mem, 16);
-                    let v = regs.xmm(src);
-                    let t = xtaint & (1u16 << src.index()) != 0;
-                    spec_store!(ea, Width::Q, v as u64, t);
-                    spec_store!(ea.wrapping_add(8), Width::Q, (v >> 64) as u64, t);
-                }
-                Inst::MovdqaRR { dst, src } => {
-                    let v = regs.xmm(src);
-                    regs.set_xmm(dst, v);
-                    let bit = 1u16 << dst.index();
-                    if xtaint & (1u16 << src.index()) != 0 {
-                        xtaint |= bit;
-                    } else {
-                        xtaint &= !bit;
-                    }
-                }
-                Inst::Nop => {}
-            }
-            pc = next;
-        }
+        let committed = self.regs.clone();
+        let mut path = Path::<true> {
+            budget: u64::from(spec.window),
+            secret: spec.secret_lo..spec.secret_hi,
+            ..Path::default()
+        };
+        // The window's end (its first stop) is all an `Err` means here.
+        let _ = self.exec(image, start, bp, &mut path, stats, bus, host);
+        self.regs = committed;
     }
 
     #[inline]
-    fn ea(&self, mem: &crate::Mem) -> u64 {
+    fn ea(&self, mem: &Mem) -> u64 {
         mem.effective_addr(|r| self.regs.gpr(r), |s| self.regs.seg_base(s))
     }
 
+    /// Touches the D-cache for a `len`-byte data access at `ea`. Committed
+    /// accesses count their misses and return the penalty; transient ones
+    /// leave only the footprint, and record a leak when the address is
+    /// secret-derived (`tainted`) — that touch is the transmit.
     #[inline]
-    fn data_access(&mut self, stats: &mut RunStats, ea: u64, len: u64) -> f64 {
+    fn data_access<const SPEC: bool>(
+        &mut self,
+        stats: &mut RunStats,
+        ea: u64,
+        len: u64,
+        tainted: bool,
+    ) -> f64 {
         let misses = self.dcache.access_range(ea, len);
+        if SPEC {
+            stats.spec_leaks += u64::from(tainted);
+            return 0.0;
+        }
         stats.dcache_misses += u64::from(misses);
         f64::from(misses) * self.cost.dcache_miss_cycles
     }
@@ -1375,8 +1235,9 @@ impl Machine {
         width.mask(r)
     }
 
-    /// Pure ALU: result and flags, no machine state touched (shared between
-    /// the architectural path and the transient wrong-path interpreter).
+    /// Pure ALU: result and flags, no machine state touched. Kept apart
+    /// from [`Machine::alu`]: merged into one function, the ALU stops being
+    /// inlined into the instruction loop and every ALU op becomes a call.
     fn alu_compute(op: AluOp, a: u64, b: u64, width: Width) -> (u64, Flags) {
         let sign = width.sign_bit();
         let (r, cf, of) = match op {
@@ -1471,7 +1332,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mem;
 
     fn run_prog(p: &Program, mem_size: usize) -> (Machine, FlatMemory, RunStats) {
         let mut mem = FlatMemory::new(mem_size);
@@ -1647,7 +1507,7 @@ mod tests {
         let image = Image::load(p).unwrap();
         let mut seen = Vec::new();
         let stats = m
-            .run_image_with_host(&image, &mut mem, &mut |f, regs, _| {
+            .run_image_from(&image, 0, &mut mem, &mut |f, regs, _| {
                 seen.push(f);
                 regs.set_gpr(Gpr::Rax, 99);
                 Ok(0.0)

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use sfi_x86::{Gpr, Inst, Mem, Program, Width};
-//! use sfi_x86::emu::{FlatMemory, Machine};
+//! use sfi_x86::emu::{FlatMemory, Image, Machine};
 //!
 //! // mov rax, 7 ; mov [0x100], rax ; mov rbx, [0x100] ; ret
 //! let mut p = Program::new();
@@ -36,7 +36,8 @@
 //!
 //! let mut mem = FlatMemory::new(0x1000);
 //! let mut m = Machine::new();
-//! m.run(&p, &mut mem).unwrap();
+//! let image = Image::load(p).unwrap();
+//! m.run_image(&image, &mut mem).unwrap();
 //! assert_eq!(m.gpr(Gpr::Rbx), 7);
 //! ```
 

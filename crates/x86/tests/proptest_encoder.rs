@@ -1,7 +1,7 @@
 //! Property-based tests of the encoder and the emulator's ALU semantics.
 
 use proptest::prelude::*;
-use sfi_x86::emu::{FlatMemory, Machine};
+use sfi_x86::emu::{FlatMemory, Image, Machine};
 use sfi_x86::inst::{AluOp, ShiftAmount, ShiftOp};
 use sfi_x86::{encode, Gpr, Inst, Mem, Program, Scale, Seg, Width};
 
@@ -119,7 +119,8 @@ proptest! {
         p.push(Inst::Ret);
         let mut m = Machine::new();
         let mut mem = FlatMemory::new(64);
-        m.run(&p, &mut mem).expect("runs");
+        let image = Image::load(p).expect("encodes");
+        m.run_image(&image, &mut mem).expect("runs");
         let (wa, wb) = (width.mask(a), width.mask(b));
         let expect = width.mask(match op {
             AluOp::Add => wa.wrapping_add(wb),
@@ -148,7 +149,8 @@ proptest! {
         p.push(Inst::Ret);
         let mut m = Machine::new();
         let mut mem = FlatMemory::new(64);
-        m.run(&p, &mut mem).expect("runs");
+        let image = Image::load(p).expect("encodes");
+        m.run_image(&image, &mut mem).expect("runs");
         prop_assert_eq!(m.gpr(Gpr::Rdx) != 0, a < b, "unsigned below");
         prop_assert_eq!(m.gpr(Gpr::Rsi) != 0, a == b, "equal");
         prop_assert_eq!(m.gpr(Gpr::Rdi) != 0, (a as i64) < (b as i64), "signed less");

@@ -151,21 +151,6 @@ grep -q 'sfi_spec_flushes_total' BENCH_spectre.json
 grep -q 'sfi_spec_leaks_total' BENCH_spectre.json
 grep -q 'sfi_spec_mitigation_cycles_total' BENCH_spectre.json
 
-echo "== declared-safe drift watch (spectre leak matrix) =="
-# Every cell the compiler declares safe must measure zero leaks in the
-# artifact just written, and the unsafe cells must still register leaks —
-# a matrix regression (or a detector gone dark) that slips past the
-# in-binary asserts fails here.
-SAFE_CELLS=$(grep -c '"declared_safe": true, "leaks": 0}' BENCH_spectre.json)
-SAFE_LEAKY=$(grep -o '"declared_safe": true, "leaks": [0-9]*' BENCH_spectre.json \
-             | awk '$NF != 0 { n++ } END { print n + 0 }')
-UNSAFE_LEAKS=$(grep -o '"declared_safe": false, "leaks": [0-9]*' BENCH_spectre.json \
-               | awk '{ s += $NF } END { print s + 0 }')
-[ "$SAFE_LEAKY" -eq 0 ] || { echo "declared-safe drift: $SAFE_LEAKY safe cells leaked"; exit 1; }
-[ "$SAFE_CELLS" -gt 0 ] || { echo "no declared-safe cells in artifact"; exit 1; }
-[ "$UNSAFE_LEAKS" -gt 0 ] || { echo "leak detector went dark: no unsafe cell leaks"; exit 1; }
-echo "declared-safe cells clean ($SAFE_CELLS cells; $UNSAFE_LEAKS leaks confined to unsafe cells)"
-
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
