@@ -12,8 +12,9 @@
 //! It then gates the telemetry layer itself: the embedded snapshot must be
 //! present and parse, tracing on-vs-off must not change a single modeled
 //! number, measured self-overhead must stay within the §8 budget (≤ 35 %
-//! wall-clock, best-of-3), and the runtime metric schema must register
-//! without a name collision.
+//! wall-clock, best-of-3), the runtime metric schema must register
+//! without a name collision, and the exported latency histograms must count
+//! every completed request.
 
 use std::time::Instant;
 
@@ -69,9 +70,10 @@ fn check(json: &str) {
     );
 }
 
-/// The telemetry acceptance gates (ISSUE §tentpole): snapshot embedded and
-/// parseable, observation is free of observer effects, self-overhead within
-/// the documented budget, and the metric schema collision-free.
+/// The telemetry acceptance gates: snapshot embedded and parseable,
+/// observation is free of observer effects, self-overhead within the
+/// documented budget, the metric schema collision-free, and the latency
+/// series complete.
 fn check_telemetry(json: &str) {
     // 1. The sweep JSON embeds a parseable metrics snapshot.
     assert!(json.contains("\"telemetry\""), "sweep JSON must embed a telemetry section");
@@ -130,9 +132,22 @@ fn check_telemetry(json: &str) {
     let rt = RuntimeTelemetry::new(16, 0);
     assert!(json_is_valid(&sfi_telemetry::json_snapshot(rt.registry())));
 
+    // 5. The exported latency series: the cross-shard merge and each
+    // `{core="N"}` series observe every request its scope completed.
+    let latency = |key: &str| on.registry.histogram_values(key).map(|h| h.count());
+    assert_eq!(
+        latency("sfi_shard_request_latency_ns"),
+        Some(on.completed),
+        "sfi_shard_request_latency_ns must observe every completed request"
+    );
+    for (core, m) in on.per_core.iter().enumerate() {
+        let key = format!("sfi_shard_request_latency_ns{{core=\"{core}\"}}");
+        assert_eq!(latency(&key), Some(m.completed), "{key} must observe the core's completions");
+    }
+
     println!(
         "telemetry OK: snapshot embedded, zero observer effect, overhead {factor:.2}x \
-         (budget {OVERHEAD_BUDGET:.2}x), runtime schema collision-free"
+         (budget {OVERHEAD_BUDGET:.2}x), runtime schema collision-free, latency series complete"
     );
 }
 

@@ -18,9 +18,12 @@
 //! 3. **zero observer effect**: request spans on vs off changes no
 //!    benchmark result field of the multi-core simulation,
 //! 4. **self-overhead**: spans + exemplars may cost at most 1.35× over
-//!    the profiler-off configuration (best-of-3 wall clock), and
-//! 5. the per-strategy transition shares are printed for the DESIGN.md
-//!    §14 calibration record (CI watches them for drift).
+//!    the profiler-off configuration (best-of-3 wall clock),
+//! 5. **calibration**: the per-strategy transition shares stay within the
+//!    drift bound of the DESIGN.md §14 calibration record, and
+//! 6. **profile series**: the runtime's `sfi_profile_cycles_total`
+//!    counters carry every provenance and the same transition cycles the
+//!    shares were computed from.
 
 use std::time::Instant;
 
@@ -29,10 +32,12 @@ use sfi_core::{CompilerConfig, Strategy};
 use sfi_faas::{simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode};
 use sfi_runtime::{Engine, Runtime, RuntimeConfig, PENALTY_NAMES};
 use sfi_telemetry::{
-    json_is_valid, json_snapshot, AlertEngine, FoldedStacks, RecordingRule, RuleSource, Selector,
-    Tsdb,
+    json_is_valid, json_snapshot, AlertEngine, FoldedStacks, RecordingRule, Registry, RuleSource,
+    Selector, Tsdb,
 };
 use sfi_x86::Provenance;
+
+const DESIGN: &str = include_str!("../../../../DESIGN.md");
 
 /// The profiler's self-overhead budget (DESIGN.md §14, same 1.35× bar as
 /// the §8 tracing budget): spans + exemplars + tracing on vs all off.
@@ -126,9 +131,9 @@ fn fold_matrix(cells: &[Cell]) -> FoldedStacks {
 /// Drives each strategy through the pooled runtime — cold spawn plus four
 /// invocations of each fig6 kernel — and returns the raw per-strategy
 /// `(strategy, transition_cycles, total_cycles)` triples plus the final
-/// runtime registry snapshot (profile counters included). The share is
+/// runtime registry (profile counters included). The share is
 /// `transition / total`.
-fn transition_shares() -> (Vec<(Strategy, f64, f64)>, String) {
+fn transition_shares() -> (Vec<(Strategy, f64, f64)>, Registry) {
     // FaaS-granularity instances of the fig6 kernels: short enough that
     // the per-invoke transition protocol is a visible share of the total
     // (the population the near-zero-cost-transitions work targets).
@@ -161,7 +166,7 @@ fn transition_shares() -> (Vec<(Strategy, f64, f64)>, String) {
         }
         shares.push((strategy, transition, total));
     }
-    (shares, json_snapshot(rt.telemetry().registry()))
+    (shares, rt.telemetry().registry().clone())
 }
 
 /// Builds the entire artifact. Pure function of the (fixed) inputs — the
@@ -169,7 +174,8 @@ fn transition_shares() -> (Vec<(Strategy, f64, f64)>, String) {
 fn build_report() -> String {
     let cells = build_matrix();
     let folded = fold_matrix(&cells);
-    let (shares, telemetry) = transition_shares();
+    let (shares, registry) = transition_shares();
+    let telemetry = json_snapshot(&registry);
 
     let mut rows_json = Vec::new();
     for cell in &cells {
@@ -265,7 +271,7 @@ fn main() {
         );
     }
 
-    let (shares, _) = transition_shares();
+    let (shares, registry) = transition_shares();
     println!("\npooled runtime: transition-cycle share of total attributed cycles\n");
     let widths2 = [14, 10];
     row(&["strategy".into(), "share".into()], &widths2);
@@ -346,8 +352,7 @@ fn main() {
     // The drift-watch value flows through the telemetry plane itself: a
     // per-strategy RatioPermille recording rule over the raw profiler
     // counters in a scratch tsdb, verified here against the direct
-    // computation. CI's awk comparison against the DESIGN.md §14 record
-    // stays as the grep fallback (drift > 25% fails).
+    // computation, then gated against the DESIGN.md §14 record.
     let mut tsdb = Tsdb::new(8, 64);
     let mut rules = AlertEngine::new(16);
     for (s, _, _) in &shares {
@@ -397,11 +402,42 @@ fn main() {
         );
     }
     println!("[check] transition shares recomputed by recording rules agree (±1 permille) ✓");
-    let line = shares
+    // Basis points of the artifact's share, i.e. the share rounded to the
+    // four decimals `BENCH_profile.json` carries, times 10^4.
+    let bp: Vec<(&str, f64)> = shares
         .iter()
-        .map(|(s, tr, tot)| format!("{}={}", s.name(), (tr / tot * 10_000.0).round() as u64))
-        .collect::<Vec<_>>()
-        .join(" ");
+        .map(|(s, tr, tot)| {
+            let share: f64 = format!("{:.4}", tr / tot).parse().expect("formatted share");
+            (s.name(), share * 10_000.0)
+        })
+        .collect();
+    let line = bp.iter().map(|(s, v)| format!("{s}={v:.0}")).collect::<Vec<_>>().join(" ");
     println!("[check] calibration: profile transition_share_bp {line}");
+    sfi_bench::check_calibration(DESIGN, "profile", &bp);
+    println!("[check] transition shares within the DESIGN.md §14 calibration record ✓");
+
+    // ---- Gate 6: the profile series --------------------------------------
+    // The counters round each invocation's cycles, so they may differ from
+    // the exact f64 sum by at most half a cycle per invocation.
+    let profile = |p: &str| {
+        registry
+            .counter_value(&format!("sfi_profile_cycles_total{{provenance=\"{p}\"}}"))
+            .unwrap_or_else(|| panic!("sfi_profile_cycles_total{{provenance=\"{p}\"}} must be registered"))
+    };
+    for p in Provenance::ALL {
+        profile(p.name());
+    }
+    let invocations = registry
+        .histogram_values("sfi_invocation_transition_cycles")
+        .expect("the runtime registers the transition-cycle histogram")
+        .count() as f64;
+    let counted = profile("transition") as f64;
+    let exact: f64 = shares.iter().map(|(_, tr, _)| tr).sum();
+    assert!(
+        (counted - exact).abs() <= 0.5 * invocations,
+        "sfi_profile_cycles_total{{provenance=\"transition\"}} = {counted} vs {exact:.3} \
+         transition cycles measured over {invocations} invocations"
+    );
+    println!("[check] profile series: every provenance registered, transition cycles agree ✓");
     println!("\nfigX_profile --check: all gates passed");
 }

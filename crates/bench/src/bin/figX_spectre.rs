@@ -18,15 +18,18 @@
 //! 1. every declared-safe cell is leak-free over the full gadget corpus,
 //! 2. ≥2 distinct leak classes reproduce under unmitigated Segue,
 //! 3. 500 seeded genprog gadgets sweep clean at every declared-safe cell,
-//! 4. lfence is the costliest mitigation under every strategy, and
+//! 4. lfence is the costliest mitigation under every strategy,
 //! 5. the whole artifact is byte-identical when re-measured (same-seed
-//!    determinism), as are recompiled gadget images.
+//!    determinism), as are recompiled gadget images, and
+//! 6. the runtime exports all three `sfi_spec_*` series, and the
+//!    per-level mitigation cycles add up to the `spec_mitigation` profile
+//!    bucket.
 
 use sfi_bench::{config_for, geomean, row, run_compiled};
 use sfi_core::harness::speculative_check;
 use sfi_core::{compile, CompilerConfig, MitigationLevel, Strategy};
 use sfi_runtime::{Engine, Runtime, RuntimeConfig};
-use sfi_telemetry::json_snapshot;
+use sfi_telemetry::{json_snapshot, Registry};
 use sfi_workloads::{gadgets, genprog};
 
 /// The six protected strategies (Native sandboxes nothing and is never
@@ -41,8 +44,9 @@ const PROTECTED: [Strategy; 6] = [
 ];
 
 /// One full deterministic measurement pass: returns the rendered JSON
-/// artifact. `--check` calls it twice and requires byte equality.
-fn measure() -> String {
+/// artifact and the runtime registry it embeds. `--check` calls it twice
+/// and requires byte equality.
+fn measure() -> (String, Registry) {
     // ---- Part 1: leak matrix over the gadget corpus ----------------------
     let mut matrix_json = Vec::new();
     let mut totals = vec![[0u64; MitigationLevel::ALL.len()]; PROTECTED.len()];
@@ -173,9 +177,9 @@ fn measure() -> String {
         rt.invoke(id, "run", &[]).expect("runs");
         rt.terminate(id).expect("terminate");
     }
-    let telemetry = json_snapshot(rt.telemetry().registry());
+    let registry = rt.telemetry().registry().clone();
 
-    format!(
+    let json = format!(
         "{{\n  \"bench\": \"figX_spectre\",\n  \"leak_matrix\": [\n{}\n  ],\n  \
          \"mitigation_overhead\": [\n{}\n  ],\n  \"fig6_segue_deltas\": [\n{}\n  ],\n  \
          \"segue_none_leaks_by_gadget\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
@@ -187,15 +191,16 @@ fn measure() -> String {
             .map(|(n, l)| format!("    {{\"gadget\": \"{n}\", \"leaks\": {l}}}"))
             .collect::<Vec<_>>()
             .join(",\n"),
-        telemetry,
-    )
+        json_snapshot(&registry),
+    );
+    (json, registry)
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     println!("Figure X (spectre): speculative-leak matrix and the mitigation frontier\n");
 
-    let json = measure();
+    let (json, registry) = measure();
     std::fs::write("BENCH_spectre.json", &json).expect("write BENCH_spectre.json");
     println!("\nwrote BENCH_spectre.json");
 
@@ -237,7 +242,7 @@ fn main() {
     println!("[check] 500 genprog gadget seeds clean at every declared-safe cell ✓");
 
     // ---- Gate 4: same-seed determinism -----------------------------------
-    let again = measure();
+    let (again, _) = measure();
     assert_eq!(json, again, "BENCH_spectre.json must be byte-identical when re-measured");
     let gadget = sfi_wasm::wat::parse(&gadgets::bounds_check_bypass(
         64,
@@ -254,5 +259,20 @@ fn main() {
         "mitigated artifacts must be deterministic"
     );
     println!("[check] artifact byte-identical across re-measurement and recompiles ✓");
+
+    // ---- Gate 6: the runtime's speculation series ------------------------
+    let counter = |key: &str| {
+        registry.counter_value(key).unwrap_or_else(|| panic!("{key} must be registered"))
+    };
+    counter("sfi_spec_flushes_total");
+    counter("sfi_spec_leaks_total");
+    let by_level: u64 = MitigationLevel::ALL
+        .iter()
+        .map(|l| counter(&format!("sfi_spec_mitigation_cycles_total{{level=\"{}\"}}", l.name())))
+        .sum();
+    let bucket = counter("sfi_profile_cycles_total{provenance=\"spec_mitigation\"}");
+    assert_eq!(by_level, bucket, "per-level mitigation cycles must add up to the profile bucket");
+    assert!(by_level > 0, "the hardened gadget invocations must pay mitigation cycles");
+    println!("[check] sfi_spec_* series exported; {by_level} mitigation cycles across levels ✓");
     println!("\nfigX_spectre --check: all gates passed");
 }

@@ -15,7 +15,9 @@
 //! 3. each fig6 hot module gains ≥10% cycles at the optimizing tier, and
 //! 4. with tiering off, compiled artifacts are byte-identical to the
 //!    default configuration's — the baseline tier is the pre-tiering
-//!    compiler, bit for bit.
+//!    compiler, bit for bit, and
+//! 5. the runtime's tier series count every promotion and observe each
+//!    tier's invocations in `sfi_tier_guest_cycles`.
 
 use sfi_bench::{config_for, geomean, row, run_compiled};
 use sfi_core::{compile, OptLevel, Strategy};
@@ -155,6 +157,22 @@ fn main() {
         );
     }
     println!("\n[check] fig6 hot modules: every cycle cut ≥10% ✓");
+
+    // ---- Gate 5: the tier series -----------------------------------------
+    // Each hot module is promoted once and invoked four times per tier.
+    let registry = rt.telemetry().registry();
+    assert_eq!(
+        registry.counter_value("sfi_tier_promotions_total"),
+        Some(stats.promotions),
+        "sfi_tier_promotions_total must count the engine's promotions"
+    );
+    assert_eq!(stats.promotions, hot.len() as u64, "one promotion per hot module");
+    for tier in [Tier::Baseline, Tier::Optimized] {
+        let key = format!("sfi_tier_guest_cycles{{tier=\"{}\"}}", tier.name());
+        let observed = registry.histogram_values(&key).map(|h| h.count());
+        assert_eq!(observed, Some(4 * hot.len() as u64), "{key} must observe every invocation");
+    }
+    println!("[check] tier series: {} promotions, every invocation observed per tier ✓", stats.promotions);
 
     // ---- Gate 1: full-corpus equivalence at the optimizing tier ----------
     let mut checked = 0u32;

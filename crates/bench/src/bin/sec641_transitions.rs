@@ -5,11 +5,17 @@
 //! pinned 2.2 GHz). This binary reports the model's transition costs and
 //! cross-checks them against an actual end-to-end invocation through the
 //! multi-instance runtime.
+//!
+//! Every run also gates its artifact: the cross-check's p50 transition
+//! cycles must stay within the drift bound of the DESIGN.md §10
+//! calibration record (the cost-model canary).
 
 use std::sync::Arc;
 
 use sfi_core::{compile, CompilerConfig, Strategy};
-use sfi_runtime::{Runtime, RuntimeConfig, TransitionKind, TransitionModel};
+use sfi_runtime::{Runtime, RuntimeConfig, TransitionKind, TransitionModel, MEM_ACCESS_SAMPLE_RATE};
+
+const DESIGN: &str = include_str!("../../../../DESIGN.md");
 
 fn main() {
     println!("§6.4.1: transition microbenchmark\n");
@@ -42,6 +48,7 @@ fn main() {
     );
 
     let mut snapshots: Vec<String> = Vec::new();
+    let mut p50s = Vec::new();
     for colorguard in [false, true] {
         let mut rt = Runtime::new(RuntimeConfig::small_test(colorguard)).expect("runtime");
         let inst = rt.instantiate(Arc::clone(&cm)).expect("slot available");
@@ -53,10 +60,20 @@ fn main() {
             "runtime, colorguard={colorguard}: {} transitions over {reps} invocations, \
              mean {:.2} ns/transition",
             rt.transitions.count,
-            rt.transitions.mean_ns(&rt.config_transition())
+            rt.transitions.mean_ns(&tm)
         );
         snapshots
             .push(format!("    {{\"colorguard\": {colorguard}, \"telemetry\": {}}}", rt.telemetry_snapshot()));
+        let registry = rt.telemetry().registry();
+        let sampled = format!("sfi_guest_mem_accesses_total{{sample_rate=\"{MEM_ACCESS_SAMPLE_RATE}\"}}");
+        assert!(
+            registry.counter_value(&sampled).is_some(),
+            "the snapshot must declare the guest-access sampling rate ({sampled})"
+        );
+        let transitions = registry
+            .histogram_values("sfi_invocation_transition_cycles")
+            .expect("the runtime registers the transition-cycle histogram");
+        p50s.push(transitions.p50() as f64);
     }
 
     // The cross-check runs' full runtime metric registries — transition op
@@ -75,14 +92,6 @@ fn main() {
     );
     std::fs::write("BENCH_sec641.json", &json).expect("write BENCH_sec641.json");
     println!("\nwrote BENCH_sec641.json");
-}
 
-trait RtExt {
-    fn config_transition(&self) -> TransitionModel;
-}
-
-impl RtExt for Runtime {
-    fn config_transition(&self) -> TransitionModel {
-        TransitionModel::default()
-    }
+    sfi_bench::check_calibration(DESIGN, "sec641", &[("baseline", p50s[0]), ("colorguard", p50s[1])]);
 }

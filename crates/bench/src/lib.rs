@@ -1,10 +1,11 @@
 //! # sfi-bench: the evaluation harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion microbenchmarks in `benches/`. This library holds the shared
-//! measurement plumbing: compile a corpus workload under a strategy, run it
-//! on the deterministic emulator, and report modeled cycles, instruction
-//! counts and code size.
+//! One binary per table/figure of the paper (see `src/bin/`); each binary
+//! that writes a `BENCH_*.json` artifact is also the only place that gates
+//! it. This library holds the shared measurement plumbing: compile a corpus
+//! workload under a strategy, run it on the deterministic emulator, and
+//! report modeled cycles, instruction counts and code size, plus the
+//! DESIGN.md calibration-record check.
 //!
 //! Reproduce everything with:
 //!
@@ -110,11 +111,6 @@ pub fn run_compiled(w: &Workload, cm: &CompiledModule) -> Measured {
     }
 }
 
-/// Formats a ratio as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 /// Geometric mean.
 pub fn geomean(xs: &[f64]) -> f64 {
     sfi_faas::stats::geomean(xs)
@@ -129,9 +125,110 @@ pub fn row(cells: &[String], widths: &[usize]) {
     println!("{}", line.trim_end());
 }
 
+/// Largest relative drift a measured value may show against its DESIGN.md
+/// calibration record: a deliberate cost-model change updates the record in
+/// the same commit, anything else drifting further fails the gate.
+const CALIBRATION_DRIFT: f64 = 0.25;
+
+/// The `name=value` fields of the DESIGN.md calibration record
+/// `calibration: <key> … name=value …`, in record order. Words without `=`
+/// (what the record measures) are skipped; surrounding backticks are not
+/// part of a value.
+///
+/// # Panics
+///
+/// When `design` holds no record for `key`, or a value is not a number.
+fn calibration_record<'a>(design: &'a str, key: &str) -> Vec<(&'a str, f64)> {
+    let prefix = format!("calibration: {key} ");
+    let line = design
+        .lines()
+        .find_map(|l| l.split_once(prefix.as_str()).map(|(_, rest)| rest))
+        .unwrap_or_else(|| panic!("DESIGN.md has no calibration record `{key}`"));
+    line.split_whitespace()
+        .filter_map(|word| word.trim_matches('`').split_once('='))
+        .map(|(name, value)| {
+            let v = value.parse().unwrap_or_else(|_| {
+                panic!("calibration record `{key}`: field `{name}` value {value:?} is not a number")
+            });
+            (name, v)
+        })
+        .collect()
+}
+
+/// Gates measured values against the DESIGN.md calibration record `key`,
+/// printing one line per field (got, recorded, drift).
+///
+/// # Panics
+///
+/// Naming the key, the field, got, recorded and the drift, when a field
+/// drifts by more than [`CALIBRATION_DRIFT`]; also when the record is
+/// missing or lacks one of the measured fields.
+pub fn check_calibration(design: &str, key: &str, got: &[(&str, f64)]) {
+    let record = calibration_record(design, key);
+    for &(field, value) in got {
+        let recorded = record
+            .iter()
+            .find(|(name, _)| *name == field)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("calibration record `{key}` has no field `{field}`"));
+        let drift = (value - recorded).abs() / recorded;
+        println!(
+            "calibration {key} {field}: got {value:.0} vs recorded {recorded:.0} (drift {:.1}%)",
+            drift * 100.0
+        );
+        assert!(
+            drift <= CALIBRATION_DRIFT,
+            "calibration drift: record `{key}` field `{field}` got {value} vs recorded {recorded} \
+             (drift {:.1}% > {:.0}%)",
+            drift * 100.0,
+            CALIBRATION_DRIFT * 100.0
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const DESIGN: &str = include_str!("../../../DESIGN.md");
+
+    #[test]
+    fn committed_design_holds_both_calibration_records() {
+        let names =
+            |key| calibration_record(DESIGN, key).into_iter().map(|(n, _)| n).collect::<Vec<_>>();
+        assert_eq!(names("sec641"), ["baseline", "colorguard"]);
+        assert_eq!(
+            names("profile"),
+            ["guard", "segue", "segue-loads", "bounds", "bounds-segue", "masking"]
+        );
+    }
+
+    const RECORD: &str = "text\n    calibration: toy p50 base=100 `other=200`\nmore text";
+
+    #[test]
+    fn drift_of_exactly_a_quarter_passes() {
+        check_calibration(RECORD, "toy", &[("base", 125.0), ("other", 150.0)]);
+        check_calibration(RECORD, "toy", &[("base", 75.0), ("other", 250.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "field `other` got 252 vs recorded 200 (drift 26.0% > 25%)")]
+    fn drift_of_26_percent_panics() {
+        check_calibration(RECORD, "toy", &[("base", 100.0), ("other", 252.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no calibration record `sec642`")]
+    fn missing_record_panics() {
+        check_calibration(DESIGN, "sec642", &[("baseline", 145.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no field `colorguard`")]
+    fn record_missing_a_field_panics() {
+        let without = "calibration: sec641 transition_cycles p50 baseline=145";
+        check_calibration(without, "sec641", &[("baseline", 145.0), ("colorguard", 239.0)]);
+    }
 
     #[test]
     fn strategies_agree_on_fast_workloads() {

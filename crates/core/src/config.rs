@@ -94,11 +94,6 @@ impl Strategy {
         self == Strategy::Masking
     }
 
-    /// Whether guard regions are relied on for isolation.
-    pub fn uses_guard_regions(self) -> bool {
-        matches!(self, Strategy::GuardRegion | Strategy::Segue | Strategy::SegueLoads)
-    }
-
     /// Short display name used in benchmark tables.
     pub fn name(self) -> &'static str {
         match self {

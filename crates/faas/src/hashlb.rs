@@ -66,11 +66,6 @@ impl HashRing {
     pub fn route(&self, key: &str) -> &str {
         self.route_counted(key).0
     }
-
-    /// Number of backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ pub struct Chain {
     slots: Vec<ChainSlot>,
     total_bytes: u64,
     reach: u64,
-    stripes: u8,
 }
 
 /// Chain-packing errors.
@@ -89,7 +88,7 @@ impl Chain {
         }
         // The chain ends with a real guard protecting the final sandboxes.
         let total_bytes = cursor + reach;
-        Ok(Chain { slots, total_bytes, reach, stripes })
+        Ok(Chain { slots, total_bytes, reach })
     }
 
     /// The placed sandboxes, in input order.
@@ -131,11 +130,6 @@ impl Chain {
     pub fn efficiency_vs_guard_regions(&self) -> f64 {
         let guard_layout = self.slots.len() as u64 * self.reach;
         guard_layout as f64 / self.total_bytes as f64
-    }
-
-    /// The configured stripe budget.
-    pub fn stripe_budget(&self) -> u8 {
-        self.stripes
     }
 }
 

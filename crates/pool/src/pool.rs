@@ -280,11 +280,6 @@ impl MemoryPool {
         self.policy = policy;
     }
 
-    /// The active crash-containment policy.
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.policy
-    }
-
     /// Slots currently parked in the quarantine ring.
     pub fn quarantined(&self) -> usize {
         self.quarantine.len()

@@ -239,12 +239,6 @@ impl Engine {
         self.tier_stats
     }
 
-    /// The baseline load count for this (module, config, layout) triple.
-    pub fn hot_count(&self, module: &Module, config: &CompilerConfig, layout_fingerprint: u64) -> u64 {
-        let key = Self::key_for(module, &Self::baseline_config(config), layout_fingerprint);
-        self.hot_counts.get(&key).copied().unwrap_or(0)
-    }
-
     /// The cache (for stats and direct inspection).
     pub fn cache(&self) -> &CodeCache {
         &self.cache

@@ -335,12 +335,6 @@ impl RuntimeTelemetry {
             stats.prov_cycles[Provenance::SpecMitigation.index()].round() as u64,
         );
     }
-
-    /// Merges another bundle's registry into this one (sharded hosts merge
-    /// per-core registries at export).
-    pub fn merge_registry_from(&mut self, other: &RuntimeTelemetry) {
-        self.registry.merge_from(&other.registry);
-    }
 }
 
 #[cfg(test)]

@@ -249,11 +249,6 @@ impl AlertEngine {
         &self.derived
     }
 
-    /// Number of configured alert rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// The cursor one past the newest log entry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

@@ -152,11 +152,6 @@ pub struct ChaosStats {
 }
 
 impl ChaosStats {
-    /// Injected failures of one syscall kind.
-    pub fn failed_of(&self, kind: SyscallKind) -> u64 {
-        self.syscalls_failed_by_kind[kind.index()]
-    }
-
     /// Injected engine faults of one kind.
     pub fn engine_faults_of(&self, kind: EngineFault) -> u64 {
         self.engine_faults_by_kind[kind.index()]
@@ -242,16 +237,6 @@ impl FaultPlan {
     pub fn engine_fail_at(mut self, member: u64, round: u64, fault: EngineFault) -> FaultPlan {
         self.engine_at.insert((member, round, fault.index()));
         self
-    }
-
-    /// Calls observed so far for `kind`.
-    pub fn calls_observed(&self, kind: SyscallKind) -> u64 {
-        self.calls[kind.index()]
-    }
-
-    /// Bus accesses observed so far.
-    pub fn accesses_observed(&self) -> u64 {
-        self.accesses
     }
 
     /// SplitMix64-style stateless hash of (seed, stream, index) to a

@@ -114,13 +114,6 @@ impl Tlb {
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
-
-    /// Resets counters (keeps contents).
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-        self.flushes = 0;
-    }
 }
 
 #[cfg(test)]

@@ -33,11 +33,6 @@ impl Func {
         let i = i as usize;
         self.params.get(i).or_else(|| self.locals.get(i - self.params.len().min(i))).copied()
     }
-
-    /// Whether `other` has the same signature.
-    pub fn same_signature(&self, other: &Func) -> bool {
-        self.params == other.params && self.result == other.result
-    }
 }
 
 /// A builder for [`Func`].
