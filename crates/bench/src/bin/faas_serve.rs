@@ -1,8 +1,10 @@
 //! `faas_serve`: the multi-core FaaS engine behind a live telemetry
 //! endpoint (DESIGN.md §8).
 //!
-//! Runs [`sfi_faas::ServeEngine`] rounds on a driver thread while a
-//! std-only HTTP/1.1 loop serves:
+//! Runs [`sfi_faas::ServeEngine`] rounds while a std-only HTTP/1.1 loop on
+//! a background thread ([`sfi_faas::serve_background`]) serves the
+//! router's endpoint table ([`sfi_faas::endpoints`], which the startup
+//! banner prints):
 //!
 //! - `GET /metrics`   — Prometheus text (modeled registry + scrape meta)
 //! - `GET /snapshot`  — the modeled registry as JSON (no meta: byte-equal
@@ -11,6 +13,8 @@
 //!   cumulative flight-recorder stream
 //! - `GET /healthz`   — failure-model availability + quarantine (the one
 //!   endpoint allowed wall time: its uptime field)
+//! - `GET /profile`   — folded-stack flamegraph, latency exemplars and
+//!   (with QoS) SLO burn (DESIGN.md §14)
 //! - `GET /alerts?since=<cursor>` — alert states + incremental transition
 //!   log from the in-memory rule engine
 //! - `GET /query?expr=<expr>` — one tsdb query (DESIGN.md §15 grammar)
@@ -21,23 +25,23 @@
 //! - `faas_serve [--port N] [--rounds N]` — serve until `/quit` (port 0
 //!   picks an ephemeral port and prints it; `--rounds` caps the driver).
 //! - `faas_serve --get ADDR PATH [--timeout-ms N]` — one-shot scrape
-//!   client (exit 0 on HTTP 200), used by the CI smoke step instead of
-//!   curl; the optional deadline bounds each attempt's connect/read/write
-//!   so a hung server cannot wedge the scrape.
-//! - `faas_serve --check` — self-contained acceptance gate: all six
-//!   endpoints respond on a loopback server; the drained `/trace` stream
+//!   client for either serving binary (exit 0 on HTTP 200), used by the
+//!   CI smoke step instead of curl; the optional deadline bounds each
+//!   attempt's connect/read/write so a hung server cannot wedge the scrape.
+//! - `faas_serve --check` — self-contained acceptance gate: every endpoint
+//!   in the table responds on a loopback server; the drained `/trace` stream
 //!   re-wraps byte-identically to the batch export; the served `/snapshot`
 //!   equals a server-off replay byte-for-byte; and scraping under load
 //!   stays within the overhead budget.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use sfi_faas::{serve_blocking, ServeConfig, ServeEngine};
+use sfi_bench::arg_after;
+use sfi_faas::{endpoints, serve_background, ScrapeSurface, ServeConfig, ServeEngine};
 use sfi_telemetry::{
-    chrome_trace_wrap, http_get, http_get_retry_with_timeout, json_is_valid, RetryPolicy,
+    chrome_trace_wrap, http_get, http_get_retry, json_is_valid, RetryPolicy, IO_TIMEOUT,
 };
 
 /// Documented scrape-under-load budget (DESIGN.md §8): driving the engine
@@ -48,9 +52,13 @@ const OVERHEAD_BUDGET: f64 = 1.35;
 /// Rounds per timed check pass (short rounds: ServeConfig::paper_rig).
 const CHECK_ROUNDS: u64 = 3;
 
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// The request `--check` sends for endpoint `ep`: `/query` needs an
+/// expression, every other endpoint answers its bare path.
+fn scrape_path(ep: &str) -> &str {
+    match ep {
+        "/query" => "/query?expr=increase(sfi_shard_completed_total%5B4r%5D)",
+        _ => ep,
+    }
 }
 
 fn main() {
@@ -68,12 +76,11 @@ fn main() {
         // fails the CI smoke scrape. `--timeout-ms` bounds each attempt's
         // connect/read/write deadline so a server that accepts and hangs
         // cannot wedge a CI scrape either.
-        let timeout = std::time::Duration::from_millis(
-            arg_after("--timeout-ms").map(|t| t.parse().expect("numeric timeout")).unwrap_or(10_000),
-        );
+        let timeout = arg_after("--timeout-ms")
+            .map(|t| Duration::from_millis(t.parse().expect("numeric timeout")))
+            .unwrap_or(IO_TIMEOUT);
         let (status, body, _attempts) =
-            http_get_retry_with_timeout(addr, path, &RetryPolicy::default(), timeout)
-                .expect("request failed");
+            http_get_retry(addr, path, &RetryPolicy::default(), timeout).expect("request failed");
         // Rust ignores SIGPIPE, so a downstream `| head` surfaces as EPIPE
         // on the write — the exit code must still reflect the HTTP status.
         use std::io::Write;
@@ -86,53 +93,27 @@ fn main() {
     let port: u16 = arg_after("--port").map(|p| p.parse().expect("numeric port")).unwrap_or(9100);
     let max_rounds: Option<u64> = arg_after("--rounds").map(|r| r.parse().expect("numeric rounds"));
 
-    let listener = TcpListener::bind(("127.0.0.1", port)).expect("bind");
-    let addr = listener.local_addr().expect("local addr");
-    let engine = Arc::new(Mutex::new(ServeEngine::new(ServeConfig::paper_rig(4))));
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-    println!("faas_serve: listening on http://{addr}  (GET /metrics /snapshot /trace /healthz /alerts /query /quit)");
-
-    let driver = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                engine.lock().expect("engine lock").run_round();
-                rounds += 1;
-                if max_rounds.is_some_and(|m| rounds >= m) {
-                    break;
-                }
-            }
-        })
-    };
-
-    serve_blocking(&listener, &engine, started).expect("serve loop");
-    stop.store(true, Ordering::Relaxed);
-    driver.join().expect("driver thread");
-    let eng = engine.lock().expect("engine lock");
+    let served = serve_background(port, ServeEngine::new(ServeConfig::paper_rig(4))).expect("bind");
+    let table = endpoints::<ServeEngine>().join(" ");
+    println!("faas_serve: listening on http://{}  (GET {table} /quit)", served.addr);
+    served.drive(max_rounds, |e| {
+        e.run_round();
+    });
+    let eng = served.join();
     println!("faas_serve: quit after {} rounds, {} trace events", eng.rounds(), eng.stream().total_recorded());
 }
 
-/// Drives `rounds` engine rounds; when `addr` is given, performs a full
-/// scrape set (all six endpoints) between rounds — the "under load"
-/// configuration of the overhead gate. Returns elapsed wall time.
-fn drive(engine: &Mutex<ServeEngine>, rounds: u64, addr: Option<&str>) -> std::time::Duration {
+/// Drives `rounds` engine rounds; when `addr` is given, scrapes every
+/// endpoint in the table between rounds — the "under load" configuration
+/// of the overhead gate. Returns elapsed wall time.
+fn drive(engine: &Mutex<ServeEngine>, rounds: u64, addr: Option<&str>) -> Duration {
     let t0 = Instant::now();
     for _ in 0..rounds {
         engine.lock().expect("engine lock").run_round();
         if let Some(a) = addr {
-            for path in [
-                "/metrics",
-                "/snapshot",
-                "/trace?since=0",
-                "/healthz",
-                "/alerts?since=0",
-                "/query?expr=increase(sfi_shard_completed_total%5B4r%5D)",
-            ] {
-                let (status, _) = http_get(a, path).expect("scrape");
-                assert_eq!(status, 200, "{path} under load");
+            for ep in endpoints::<ServeEngine>() {
+                let (status, _) = http_get(a, scrape_path(ep)).expect("scrape");
+                assert_eq!(status, 200, "{ep} under load");
             }
         }
     }
@@ -155,20 +136,14 @@ fn check() {
     let offline_trace = offline.trace_batch();
 
     // Live server on an ephemeral loopback port.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let engine = Arc::new(Mutex::new(ServeEngine::new(cfg.clone())));
-    let started = Instant::now();
-    let server = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || serve_blocking(&listener, &engine, started).expect("serve"))
-    };
+    let served = serve_background(0, ServeEngine::new(cfg.clone())).expect("bind");
+    let addr = served.addr.clone();
 
     // Run rounds, draining /trace incrementally after each one.
     let mut cursor = 0u64;
     let mut streamed: Vec<String> = Vec::new();
     for _ in 0..CHECK_ROUNDS {
-        engine.lock().expect("engine lock").run_round();
+        served.lock().run_round();
         let (status, body) = http_get(&addr, &format!("/trace?since={cursor}")).expect("trace");
         assert_eq!(status, 200, "/trace must respond");
         let mut lines = body.lines();
@@ -183,19 +158,18 @@ fn check() {
         streamed.extend(lines.map(str::to_owned));
     }
 
-    // 1. All six endpoints respond.
-    let (ms, metrics) = http_get(&addr, "/metrics").expect("metrics");
-    let (ss, snapshot) = http_get(&addr, "/snapshot").expect("snapshot");
-    let (hs, health) = http_get(&addr, "/healthz").expect("healthz");
-    let (als, alerts) = http_get(&addr, "/alerts?since=0").expect("alerts");
-    let (qrs, query) =
-        http_get(&addr, "/query?expr=increase(sfi_shard_completed_total%5B4r%5D)").expect("query");
-    assert_eq!((ms, ss, hs), (200, 200, 200), "endpoints must respond");
-    assert_eq!((als, qrs), (200, 200), "alerting endpoints must respond");
-    assert!(json_is_valid(&alerts), "/alerts must be valid JSON");
-    assert!(alerts.contains("\"states\""), "{alerts}");
-    assert!(json_is_valid(&query), "/query must be valid JSON");
-    assert!(query.contains("\"results\""), "{query}");
+    // 1. Every endpoint in the table responds; every JSON body is valid.
+    let table = endpoints::<ServeEngine>();
+    let mut bodies = BTreeMap::new();
+    for &ep in &table {
+        let (status, body) = http_get(&addr, scrape_path(ep)).expect("scrape");
+        assert_eq!(status, 200, "{ep} must respond");
+        assert!(ep == "/metrics" || ep == "/trace" || json_is_valid(&body), "{ep}: {body}");
+        bodies.insert(ep, body);
+    }
+    let (metrics, snapshot) = (&bodies["/metrics"], &bodies["/snapshot"]);
+    assert!(bodies["/alerts"].contains("\"states\""), "{}", bodies["/alerts"]);
+    assert!(bodies["/query"].contains("\"results\""), "{}", bodies["/query"]);
     let (bs, _) = http_get(&addr, "/query").expect("query without expr");
     assert_eq!(bs, 400, "/query without expr must 400");
     let (bs, _) = http_get(&addr, "/alerts?since=abc").expect("malformed cursor");
@@ -203,9 +177,7 @@ fn check() {
     assert!(metrics.contains("sfi_shard_completed_total"), "metrics carries shard counters");
     assert!(metrics.contains("sfi_serve_scrapes_total"), "metrics carries scrape meta");
     assert!(metrics.contains("sample_rate=\"64\""), "sampled series declares its rate");
-    assert!(json_is_valid(&snapshot), "/snapshot must be valid JSON");
-    assert!(json_is_valid(&health), "/healthz must be valid JSON");
-    assert!(health.contains("\"availability\""), "{health}");
+    assert!(bodies["/healthz"].contains("\"availability\""), "{}", bodies["/healthz"]);
 
     // 2. The drained stream re-wraps byte-identically to the batch export.
     let rewrapped = chrome_trace_wrap(&streamed);
@@ -214,7 +186,7 @@ fn check() {
     // 3. Serving has zero observer effect on modeled telemetry: the served
     // snapshot equals the server-off replay byte-for-byte (scrape meta is
     // excluded from /snapshot by construction).
-    assert_eq!(snapshot, offline_snapshot, "served snapshot must equal offline replay");
+    assert_eq!(*snapshot, offline_snapshot, "served snapshot must equal offline replay");
     assert!(snapshot.contains("sfi_shard_request_latency_ns"), "latency histograms present");
     assert!(snapshot.contains("\"p99\""), "histogram quantiles present");
 
@@ -243,11 +215,12 @@ fn check() {
     // 5. Clean shutdown via /quit.
     let (qs, _) = http_get(&addr, "/quit").expect("quit");
     assert_eq!(qs, 200, "/quit must answer before stopping");
-    server.join().expect("server thread");
+    served.join();
 
     println!(
-        "check OK: 6 endpoints live, streamed trace == batch export ({} events), \
+        "check OK: {} endpoints live, streamed trace == batch export ({} events), \
          snapshot == offline replay, scrape overhead {factor:.2}x (budget {OVERHEAD_BUDGET:.2}x)",
+        table.len(),
         streamed.len()
     );
 }

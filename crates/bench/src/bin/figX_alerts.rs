@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use sfi_faas::{
     ArrivalModel, FleetAlertPolicy, FleetConfig, FleetSupervisor, QosConfig, RetireReason,
-    ServeConfig, ServeEngine, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
+    ScrapeSurface, ServeConfig, ServeEngine, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
 };
 use sfi_pool::QuarantinePolicy;
 use sfi_telemetry::{json_is_valid, AlertEvent, AlertTransition, RetryPolicy};

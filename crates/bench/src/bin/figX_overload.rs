@@ -20,7 +20,7 @@
 use sfi_bench::row;
 use sfi_faas::{
     multicore_sweep_json, overload_sweep_json, AutoscalePolicy, ArrivalModel, FleetConfig,
-    FleetSupervisor, ServeConfig,
+    FleetSupervisor, ScrapeSurface, ServeConfig,
 };
 use sfi_telemetry::json_is_valid;
 use sfi_vm::{EngineFault, FaultPlan};

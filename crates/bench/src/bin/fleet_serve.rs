@@ -3,8 +3,10 @@
 //!
 //! Runs a [`sfi_faas::FleetSupervisor`] — N in-process `ServeEngine`
 //! members with engine-level fault budgets, deterministic crash-recovery
-//! by checkpoint replay, and seeded engine-grade chaos — on a driver
-//! thread, while the std-only HTTP/1.1 loop serves the fleet surface:
+//! by checkpoint replay, and seeded engine-grade chaos — while the std-only
+//! HTTP/1.1 loop on a background thread serves the fleet surface: the
+//! router's endpoint table ([`sfi_faas::endpoints`]), which includes
+//! `/fleet` and which the startup banner prints:
 //!
 //! - `GET /metrics`  — Prometheus text: member registries merged under
 //!   `engine="<id>"` labels, plus the fleet supervision meta registry
@@ -14,6 +16,8 @@
 //!   restarts, retirements, poll attempts; gap-marked on overflow)
 //! - `GET /fleet`    — per-member liveness, restart and quarantine state
 //! - `GET /healthz`  — fleet availability (503 once no member is live)
+//! - `GET /profile`  — the fleet flamegraph (member stacks re-rooted under
+//!   `member_<id>`) and cross-member latency exemplars
 //! - `GET /alerts?since=<cursor>` — fleet alert states + transition log
 //! - `GET /query?expr=<expr>` — one query over the fleet tsdb
 //! - `GET /quit`     — answer, then shut down cleanly
@@ -21,25 +25,22 @@
 //! Modes:
 //!
 //! - `fleet_serve [--port N] [--members N] [--rounds N] [--chaos RATE]` —
-//!   serve until `/quit`.
-//! - `fleet_serve --get ADDR PATH` — scrape client with the hardened
-//!   bounded-retry policy; exits nonzero only after the budget is spent.
+//!   serve until `/quit`. Scrape it with `faas_serve --get ADDR PATH`.
 //! - `fleet_serve --check` — the federation acceptance gate: K=3 seeded
 //!   member kills out of N=4 engines, fleet availability ≥ 0.75, every
 //!   recovered member byte-equal to an uninterrupted same-seed replay, the
 //!   merged fleet `/snapshot` equal to the label-disambiguated sum of
 //!   member snapshots, chaos on/off differing only in injected-fault
-//!   series, and the TCP surface live end-to-end.
+//!   series, and every endpoint in the table live over TCP.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::BTreeMap;
 
-use sfi_faas::{fleet_serve_blocking, FleetConfig, FleetSupervisor, MemberState};
+use sfi_bench::arg_after;
+use sfi_faas::{
+    endpoints, serve_background, FleetConfig, FleetSupervisor, MemberState, ScrapeSurface,
+};
 use sfi_telemetry::{
-    http_get_retry, http_get_retry_with_timeout, json_is_valid, json_snapshot, Registry,
-    RetryPolicy,
+    http_get_retry, json_is_valid, json_snapshot, Registry, RetryPolicy, IO_TIMEOUT,
 };
 use sfi_vm::{EngineFault, FaultPlan};
 
@@ -52,11 +53,6 @@ const CHECK_ROUNDS: u64 = 6;
 
 /// The availability floor the killed fleet must stay above.
 const AVAILABILITY_FLOOR: f64 = 0.75;
-
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
 
 /// Suppresses the default panic hook's output for the chaos layer's
 /// injected (and caught) mid-round panics; everything else still prints.
@@ -85,36 +81,25 @@ fn check_fleet(members: u32) -> FleetConfig {
 
 /// The K=3 scheduled kills for `--check`: one of each engine-grade fault
 /// kind, on three different members, in three different rounds.
-fn check_kills() -> [(u64, u64, EngineFault); 3] {
-    [
-        (0, 1, EngineFault::MidRoundPanic),
-        (1, 2, EngineFault::HangOnAccept),
-        (2, 3, EngineFault::TornResponse),
-    ]
+const KILLS: [(u64, u64, EngineFault); 3] = [
+    (0, 1, EngineFault::MidRoundPanic),
+    (1, 2, EngineFault::HangOnAccept),
+    (2, 3, EngineFault::TornResponse),
+];
+
+/// The check fleet with the K=3 kills scheduled.
+fn chaos_fleet() -> FleetConfig {
+    let mut cfg = check_fleet(CHECK_MEMBERS);
+    for (member, round, fault) in KILLS {
+        cfg.chaos = cfg.chaos.engine_fail_at(member, round, fault);
+    }
+    cfg
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--check") {
+    if std::env::args().any(|a| a == "--check") {
         check();
         return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--get") {
-        let addr = args.get(i + 1).expect("--get ADDR PATH");
-        let path = args.get(i + 2).expect("--get ADDR PATH");
-        // `--timeout-ms` bounds each attempt's connect/read/write deadline
-        // so a member hung on accept cannot wedge a CI scrape.
-        let timeout = std::time::Duration::from_millis(
-            arg_after("--timeout-ms").map(|t| t.parse().expect("numeric timeout")).unwrap_or(10_000),
-        );
-        let (status, body, _attempts) =
-            http_get_retry_with_timeout(addr, path, &RetryPolicy::default(), timeout)
-                .expect("request failed");
-        use std::io::Write;
-        if let Err(e) = std::io::stdout().write_all(body.as_bytes()) {
-            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write body: {e}");
-        }
-        std::process::exit(if status == 200 { 0 } else { 1 });
     }
 
     silence_injected_panics();
@@ -132,35 +117,11 @@ fn main() {
             sfi_vm::ChaosConfig { engine_fault_rate: chaos_rate, ..Default::default() },
         );
     }
-    let listener = TcpListener::bind(("127.0.0.1", port)).expect("bind");
-    let addr = listener.local_addr().expect("local addr");
-    let fleet = Arc::new(Mutex::new(FleetSupervisor::new(cfg)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-    println!(
-        "fleet_serve: listening on http://{addr}  ({members} members; \
-         GET /metrics /snapshot /trace /fleet /healthz /alerts /query /quit)"
-    );
-
-    let driver = {
-        let fleet = Arc::clone(&fleet);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                fleet.lock().unwrap_or_else(|p| p.into_inner()).run_round();
-                rounds += 1;
-                if max_rounds.is_some_and(|m| rounds >= m) {
-                    break;
-                }
-            }
-        })
-    };
-
-    fleet_serve_blocking(&listener, &fleet, started).expect("serve loop");
-    stop.store(true, Ordering::Relaxed);
-    driver.join().expect("driver thread");
-    let sup = fleet.lock().unwrap_or_else(|p| p.into_inner());
+    let served = serve_background(port, FleetSupervisor::new(cfg)).expect("bind");
+    let (addr, table) = (&served.addr, endpoints::<FleetSupervisor>().join(" "));
+    println!("fleet_serve: listening on http://{addr}  ({members} members; GET {table} /quit)");
+    served.drive(max_rounds, FleetSupervisor::run_round);
+    let sup = served.join();
     println!(
         "fleet_serve: quit after {} rounds, availability {:.4}, {}/{} members live",
         sup.rounds(),
@@ -182,11 +143,7 @@ fn check() {
     assert_eq!(quiet.availability(), 1.0, "chaos-off fleet must be fully available");
 
     // Chaos-on run: K=3 scheduled member kills, one per fault kind.
-    let mut cfg = check_fleet(CHECK_MEMBERS);
-    for (member, round, fault) in check_kills() {
-        cfg.chaos = cfg.chaos.engine_fail_at(member, round, fault);
-    }
-    let mut fleet = FleetSupervisor::new(cfg);
+    let mut fleet = FleetSupervisor::new(chaos_fleet());
     for _ in 0..CHECK_ROUNDS {
         fleet.run_round();
     }
@@ -205,7 +162,10 @@ fn check() {
     assert!(statuses.iter().all(|s| s.rounds == CHECK_ROUNDS), "no round may be skipped");
 
     // 2. Every recovered member is byte-equal to an uninterrupted
-    //    same-seed replay of its (config, rounds) checkpoint.
+    //    same-seed replay of its (config, rounds) checkpoint, and
+    // 3. the merged fleet /snapshot equals the label-disambiguated sum of
+    //    those replays.
+    let mut manual = Registry::new();
     for s in &statuses {
         let (mcfg, rounds) = fleet.member_checkpoint(s.id).expect("member exists");
         let mut replay = sfi_faas::ServeEngine::new(mcfg);
@@ -218,17 +178,6 @@ fn check() {
             "member {} diverged from its uninterrupted replay",
             s.id
         );
-    }
-
-    // 3. The merged fleet /snapshot equals the label-disambiguated sum of
-    //    the member snapshots.
-    let mut manual = Registry::new();
-    for s in &statuses {
-        let (mcfg, rounds) = fleet.member_checkpoint(s.id).expect("member exists");
-        let mut replay = sfi_faas::ServeEngine::new(mcfg);
-        for _ in 0..rounds {
-            replay.run_round();
-        }
         manual.merge_labeled_from(replay.registry(), "engine", &s.id.to_string());
     }
     let snapshot = fleet.snapshot_json();
@@ -251,11 +200,7 @@ fn check() {
 
     // 5. The recovery timeline is byte-reproducible: a second chaos run
     //    with the same plan replays the identical supervision trace.
-    let mut cfg2 = check_fleet(CHECK_MEMBERS);
-    for (member, round, fault) in check_kills() {
-        cfg2.chaos = cfg2.chaos.engine_fail_at(member, round, fault);
-    }
-    let mut rerun = FleetSupervisor::new(cfg2);
+    let mut rerun = FleetSupervisor::new(chaos_fleet());
     for _ in 0..CHECK_ROUNDS {
         rerun.run_round();
     }
@@ -265,62 +210,41 @@ fn check() {
     // 6. The TCP surface serves the federation end-to-end: run the same
     //    chaos fleet behind a live listener, scrape every endpoint with the
     //    hardened client, quit cleanly.
-    let mut cfg3 = check_fleet(CHECK_MEMBERS);
-    for (member, round, fault) in check_kills() {
-        cfg3.chaos = cfg3.chaos.engine_fail_at(member, round, fault);
-    }
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let live = Arc::new(Mutex::new(FleetSupervisor::new(cfg3)));
-    let started = Instant::now();
-    let server = {
-        let live = Arc::clone(&live);
-        std::thread::spawn(move || {
-            fleet_serve_blocking(&listener, &live, started).expect("serve")
-        })
-    };
-    for _ in 0..CHECK_ROUNDS {
-        live.lock().unwrap_or_else(|p| p.into_inner()).run_round();
-    }
+    let served = serve_background(0, FleetSupervisor::new(chaos_fleet())).expect("bind");
+    served.drive(Some(CHECK_ROUNDS), FleetSupervisor::run_round);
+    let addr = &served.addr;
     let policy = RetryPolicy::default();
-    let (status, body, _) = http_get_retry(&addr, "/fleet", &policy).expect("/fleet");
-    assert_eq!(status, 200);
-    assert!(json_is_valid(&body), "{body}");
-    assert!(body.contains("\"members_live\": 4"), "{body}");
-    let (status, body, _) = http_get_retry(&addr, "/snapshot", &policy).expect("/snapshot");
-    assert_eq!(status, 200);
-    assert_eq!(body, snapshot, "served snapshot must equal the in-process run");
-    let (status, body, _) = http_get_retry(&addr, "/metrics", &policy).expect("/metrics");
-    assert_eq!(status, 200);
-    assert!(body.contains("engine=\"3\""), "member labels must survive the wire");
-    assert!(body.contains("sfi_fleet_polls_total"));
-    let (status, body, _) = http_get_retry(&addr, "/healthz", &policy).expect("/healthz");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"availability\""), "{body}");
-    let (status, body, _) =
-        http_get_retry(&addr, "/trace?since=0", &policy).expect("/trace");
-    assert_eq!(status, 200);
-    assert!(body.starts_with("{\"next\": "), "{body}");
-    let (status, body, _) = http_get_retry(&addr, "/alerts?since=0", &policy).expect("/alerts");
-    assert_eq!(status, 200);
-    assert!(json_is_valid(&body), "{body}");
-    assert!(body.contains("\"states\""), "{body}");
-    let (status, body, _) =
-        http_get_retry(&addr, "/query?expr=sfi_fleet_members_live", &policy).expect("/query");
-    assert_eq!(status, 200);
-    assert!(json_is_valid(&body), "{body}");
-    assert!(body.contains("\"results\""), "{body}");
-    let (status, _, _) = http_get_retry(&addr, "/query?expr=%ZZ", &policy).expect("bad expr");
+    let get = |path: &str| {
+        let (status, body, _) = http_get_retry(addr, path, &policy, IO_TIMEOUT).expect(path);
+        (status, body)
+    };
+    let mut bodies = BTreeMap::new();
+    for ep in endpoints::<FleetSupervisor>() {
+        let (status, body) =
+            get(if ep == "/query" { "/query?expr=sfi_fleet_members_live" } else { ep });
+        assert_eq!(status, 200, "{ep} must respond");
+        assert!(ep == "/metrics" || ep == "/trace" || json_is_valid(&body), "{ep}: {body}");
+        bodies.insert(ep, body);
+    }
+    assert!(bodies["/fleet"].contains("\"members_live\": 4"), "{}", bodies["/fleet"]);
+    assert_eq!(bodies["/snapshot"], snapshot, "served snapshot must equal the in-process run");
+    assert!(bodies["/metrics"].contains("engine=\"3\""), "member labels must survive the wire");
+    assert!(bodies["/metrics"].contains("sfi_fleet_polls_total"));
+    assert!(bodies["/healthz"].contains("\"availability\""), "{}", bodies["/healthz"]);
+    assert!(bodies["/trace"].starts_with("{\"next\": "), "{}", bodies["/trace"]);
+    assert!(bodies["/alerts"].contains("\"states\""), "{}", bodies["/alerts"]);
+    assert!(bodies["/query"].contains("\"results\""), "{}", bodies["/query"]);
+    let (status, _) = get("/query?expr=%ZZ");
     assert_eq!(status, 400, "/query with malformed percent-encoding must 400");
-    let (status, _, _) = http_get_retry(&addr, "/quit", &policy).expect("/quit");
+    let (status, _) = get("/quit");
     assert_eq!(status, 200);
-    server.join().expect("server thread");
+    served.join();
 
     println!(
         "check OK: {} members survived {} kills (availability {availability:.4} ≥ \
          {AVAILABILITY_FLOOR}), recovered members == uninterrupted replays, fleet snapshot == \
          labeled member sum, chaos on/off modeled-identical, TCP surface live",
         CHECK_MEMBERS,
-        check_kills().len(),
+        KILLS.len(),
     );
 }

@@ -116,6 +116,12 @@ pub fn geomean(xs: &[f64]) -> f64 {
     sfi_faas::stats::geomean(xs)
 }
 
+/// The value following `flag` on the command line (`--port 9100`).
+pub fn arg_after(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+}
+
 /// Prints a crude fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) {
     let mut line = String::new();

@@ -69,7 +69,7 @@ impl CompilerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Strategy;
+    use crate::{MemLayout, OptLevel, RuntimeRegions, Strategy};
     use sfi_wasm::wat;
 
     #[test]
@@ -100,25 +100,58 @@ mod tests {
             }
         }
 
-        let mut c = base.clone();
-        c.vectorize = true;
-        assert_ne!(fp, c.cache_fingerprint(), "vectorize flag");
-
-        let mut c = base.clone();
-        c.stack_check = !c.stack_check;
-        assert_ne!(fp, c.cache_fingerprint(), "stack_check flag");
-
-        let mut c = base.clone();
-        c.layout.mem_size *= 2;
-        assert_ne!(fp, c.cache_fingerprint(), "memory layout");
-
-        let mut c = base.clone();
-        c.regions.stack_top += 0x1000;
-        assert_ne!(fp, c.cache_fingerprint(), "runtime regions");
-
-        let mut c = base.clone();
-        c.segment_entry_protocol = true;
-        assert_ne!(fp, c.cache_fingerprint(), "segment entry protocol");
+        // Every field, one perturbation each. The destructures list every
+        // field with no `..`, so a field added to `CompilerConfig`,
+        // `MemLayout` or `RuntimeRegions` breaks this build until it is
+        // named here, and its binding is then unused until a perturbation
+        // below reads it.
+        let CompilerConfig {
+            strategy,
+            opt_level,
+            vectorize,
+            stack_check,
+            layout,
+            regions,
+            lfi_reserved_regs,
+            segment_entry_protocol,
+            mitigation,
+        } = base.clone();
+        let MemLayout { heap_base, mem_size, guard_size } = layout;
+        let RuntimeRegions { globals_base, table_base, header_base, stack_limit, stack_top } =
+            regions;
+        let with = |perturb: &dyn Fn(&mut CompilerConfig)| {
+            let mut c = base.clone();
+            perturb(&mut c);
+            c.cache_fingerprint()
+        };
+        let other_strategy = Strategy::ALL.into_iter().find(|s| *s != strategy).unwrap();
+        let other_opt =
+            if opt_level == OptLevel::Baseline { OptLevel::Optimized } else { OptLevel::Baseline };
+        let other_mitigation =
+            crate::MitigationLevel::ALL.into_iter().find(|m| *m != mitigation).unwrap();
+        let fields = [
+            ("strategy", with(&|c| c.strategy = other_strategy)),
+            ("opt_level", with(&|c| c.opt_level = other_opt)),
+            ("vectorize", with(&|c| c.vectorize = !vectorize)),
+            ("stack_check", with(&|c| c.stack_check = !stack_check)),
+            ("layout.heap_base", with(&|c| c.layout.heap_base = heap_base + 0x1000)),
+            ("layout.mem_size", with(&|c| c.layout.mem_size = mem_size * 2)),
+            ("layout.guard_size", with(&|c| c.layout.guard_size = guard_size * 2)),
+            ("regions.globals_base", with(&|c| c.regions.globals_base = globals_base + 0x10)),
+            ("regions.table_base", with(&|c| c.regions.table_base = table_base + 0x10)),
+            ("regions.header_base", with(&|c| c.regions.header_base = header_base + 0x10)),
+            ("regions.stack_limit", with(&|c| c.regions.stack_limit = stack_limit + 0x1000)),
+            ("regions.stack_top", with(&|c| c.regions.stack_top = stack_top + 0x1000)),
+            ("lfi_reserved_regs", with(&|c| c.lfi_reserved_regs = !lfi_reserved_regs)),
+            (
+                "segment_entry_protocol",
+                with(&|c| c.segment_entry_protocol = !segment_entry_protocol),
+            ),
+            ("mitigation", with(&|c| c.mitigation = other_mitigation)),
+        ];
+        for (field, perturbed) in fields {
+            assert_ne!(fp, perturbed, "{field} must perturb the fingerprint");
+        }
 
         // Each mitigation level is its own cache key: hardened code must
         // never be served under an unhardened lookup or vice versa.

@@ -38,24 +38,20 @@
 //!   fleet-level restatement of the DESIGN.md §8 zero-observer-effect
 //!   contract.
 
-use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use sfi_pool::QuarantinePolicy;
 use sfi_telemetry::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_is_valid, json_snapshot,
-    pack_span, percent_decode, prometheus_text, retry_with, AlertEngine, AlertRule,
-    BucketExemplars, CompareOp, CounterId, Cursor, FlightRecorder, FoldedStacks, GaugeId,
-    HttpRequest, HttpResponse, RecordingRule, Registry, Retention, RetryPolicy, RuleSource,
-    SpanLevel, TraceEvent, TraceKind, Tsdb, VirtualClock,
+    json_is_valid, json_snapshot, pack_span, retry_with, AlertEngine, AlertRule,
+    BucketExemplars, CompareOp, CounterId, FoldedStacks, GaugeId, HttpResponse,
+    RecordingRule, Registry, RetryPolicy, RuleSource, SpanLevel, TraceEvent, TraceKind,
+    VirtualClock,
 };
 use sfi_vm::{EngineFault, FaultPlan};
 
 use crate::serve::{
-    render_query, ServeConfig, ServeEngine, ALERT_LOG_CAPACITY, NS_PER_TICK, TSDB_MAX_SERIES,
-    TSDB_WINDOW,
+    folded_json, ExtraEndpoint, ScrapePlane, ScrapeSurface, ServeConfig, ServeEngine,
+    ALERT_LOG_CAPACITY,
 };
 
 /// Name of the fleet-level multi-window LS burn alert (the closed-loop
@@ -92,7 +88,7 @@ pub struct FleetConfig {
     /// backoff, charged to the virtual clock.
     pub retry: RetryPolicy,
     /// Capacity of the fleet's supervision trace ring (fault events are
-    /// pinned past it: [`Retention::PinFaults`]).
+    /// pinned past it: [`sfi_telemetry::Retention::PinFaults`]).
     pub stream_capacity: usize,
     /// Elastic sizing on sustained occupancy crossings; `None` (the
     /// default) keeps the fleet static, byte-identical to the pre-elastic
@@ -108,7 +104,7 @@ pub struct FleetConfig {
 
 /// Closed-loop alerting policy. The supervisor ingests the federated
 /// modeled registry (plus every member's SLO burn gauges and a per-member
-/// poll-availability gauge) into its own [`Tsdb`] after each round, then
+/// poll-availability gauge) into its own [`sfi_telemetry::Tsdb`] after each round, then
 /// evaluates two built-in rules:
 ///
 /// - [`FLEET_BURN_RULE`]: multi-window LS burn over the member burn series
@@ -390,7 +386,6 @@ struct FleetMeta {
     alert_scale_out: CounterId,
     quarantines: CounterId,
     members_live: GaugeId,
-    scrapes: [CounterId; 8],
 }
 
 impl FleetMeta {
@@ -414,8 +409,6 @@ impl FleetMeta {
             alert_scale_out: reg.counter("sfi_fleet_alert_scale_out_total"),
             quarantines: reg.counter("sfi_fleet_quarantines_total"),
             members_live: reg.gauge("sfi_fleet_members_live"),
-            scrapes: ["metrics", "snapshot", "trace", "healthz", "fleet", "profile", "alerts", "query"]
-                .map(|ep| reg.counter_with("sfi_fleet_scrapes_total", &[("endpoint", ep)])),
         }
     }
 }
@@ -432,9 +425,13 @@ pub struct FleetSupervisor {
     /// Virtual time: round durations, poll RTTs, timeouts and backoff all
     /// advance this clock, so the supervision trace is byte-reproducible.
     clock: VirtualClock,
-    /// The supervision trace: member lifecycle + poll outcomes, fault
-    /// events pinned.
-    stream: FlightRecorder,
+    /// The supervision trace (member lifecycle + poll outcomes), the
+    /// federated tsdb, the fleet rules and the scrape counters. The tsdb
+    /// holds the merged modeled registry, member burn gauges and
+    /// per-member poll-availability gauges, ingested once per round — a
+    /// pure function of `(config, rounds)`, since every input is modeled
+    /// state or a deterministic poll outcome.
+    plane: ScrapePlane,
     /// Supervision bookkeeping (merged into `/metrics` only).
     reg: Registry,
     meta: FleetMeta,
@@ -443,14 +440,6 @@ pub struct FleetSupervisor {
     failed_polls: u64,
     autoscale: Option<AutoscalePolicy>,
     alerting: Option<FleetAlertPolicy>,
-    /// Federated time-series store: the merged modeled registry, member
-    /// burn gauges and per-member poll-availability gauges, ingested once
-    /// per round. Backs `/query` and the fleet rule engine. Pure function
-    /// of `(config, rounds)` — every input is modeled state or a
-    /// deterministic poll outcome.
-    tsdb: Tsdb,
-    /// Fleet rule engine (recording rules + the closed-loop alerts).
-    alerts: AlertEngine,
     /// Next member id to assign — monotone, never reused, so spawned
     /// members' derived seeds are a pure function of the spawn order.
     next_member_id: u64,
@@ -466,7 +455,11 @@ impl FleetSupervisor {
         let mut reg = Registry::new();
         let meta = FleetMeta::register(&mut reg);
         let mut clock = VirtualClock::new();
-        let mut stream = FlightRecorder::with_retention(cfg.stream_capacity, Retention::PinFaults);
+        let mut alerts = AlertEngine::new(ALERT_LOG_CAPACITY);
+        if let Some(p) = &cfg.alerting {
+            fleet_rules(&mut alerts, p);
+        }
+        let mut plane = ScrapePlane::new::<FleetSupervisor>(cfg.stream_capacity, alerts);
         let members: Vec<Member> = cfg
             .members
             .into_iter()
@@ -484,7 +477,7 @@ impl FleetSupervisor {
             })
             .collect();
         for m in &members {
-            stream.record(TraceEvent {
+            plane.stream.record(TraceEvent {
                 tick: clock.now(),
                 core: m.id as u32,
                 sandbox: m.id,
@@ -495,17 +488,13 @@ impl FleetSupervisor {
         }
         reg.set(meta.members_live, members.len() as i64);
         let next_member_id = members.len() as u64;
-        let mut alerts = AlertEngine::new(ALERT_LOG_CAPACITY);
-        if let Some(p) = &cfg.alerting {
-            fleet_rules(&mut alerts, p);
-        }
         FleetSupervisor {
             policy: cfg.policy,
             retry: cfg.retry,
             chaos: cfg.chaos,
             members,
             clock,
-            stream,
+            plane,
             reg,
             meta,
             rounds: 0,
@@ -513,8 +502,6 @@ impl FleetSupervisor {
             failed_polls: 0,
             autoscale: cfg.autoscale,
             alerting: cfg.alerting,
-            tsdb: Tsdb::new(TSDB_WINDOW, TSDB_MAX_SERIES),
-            alerts,
             next_member_id,
             high_streak: 0,
             low_streak: 0,
@@ -559,7 +546,7 @@ impl FleetSupervisor {
             let round_tid =
                 crate::shard::trace_id(self.members[idx].cfg.engine.seed ^ 0xF1EE_7000, r);
             if spans {
-                self.stream.record(TraceEvent {
+                self.plane.stream.record(TraceEvent {
                     tick: self.clock.now(),
                     core: member_id as u32,
                     sandbox: round_tid,
@@ -575,7 +562,7 @@ impl FleetSupervisor {
             }
             self.clock.advance(duration_ns);
             if spans {
-                self.stream.record(TraceEvent {
+                self.plane.stream.record(TraceEvent {
                     tick: self.clock.now(),
                     core: member_id as u32,
                     sandbox: round_tid,
@@ -620,29 +607,21 @@ impl FleetSupervisor {
         for m in &self.members {
             merged.merge_labeled_from(m.engine.burn_registry(), "engine", &m.id.to_string());
         }
-        self.tsdb.ingest(round, &merged);
+        self.plane.tsdb.ingest(round, &merged);
         for (id, ok) in poll_ok {
             let key = format!("sfi_fleet_member_availability_permille{{engine=\"{id}\"}}");
-            self.tsdb.store_gauge(&key, round, if *ok { 1000 } else { 0 });
+            self.plane.tsdb.store_gauge(&key, round, if *ok { 1000 } else { 0 });
         }
-        for t in self.alerts.evaluate(round, &mut self.tsdb) {
-            self.stream.record(TraceEvent {
-                tick: self.clock.now(),
-                core: 0,
-                sandbox: t.rule_idx as u64,
-                kind: TraceKind::Alert,
-                arg: t.transition.code(),
-            });
-        }
+        self.plane.evaluate_alerts(round, self.clock.now());
         if policy.scale_out_on_burn
-            && self.alerts.is_firing(FLEET_BURN_RULE)
+            && self.plane.alerts.is_firing(FLEET_BURN_RULE)
             && self.members_live() < policy.max_members
         {
             self.scale_out_from(&policy.template, 3);
             self.reg.inc(self.meta.alert_scale_out);
         }
         if policy.quarantine_on_availability {
-            for key in self.alerts.firing_series(MEMBER_AVAILABILITY_RULE) {
+            for key in self.plane.alerts.firing_series(MEMBER_AVAILABILITY_RULE) {
                 if let Some(idx) = self.member_idx_of_series(&key) {
                     if self.members[idx].state == MemberState::Live {
                         self.retire(idx, RetireReason::Quarantined);
@@ -729,7 +708,7 @@ impl FleetSupervisor {
         });
         self.reg.inc(self.meta.scale_out);
         self.reg.set(self.meta.members_live, self.members_live() as i64);
-        self.stream.record(TraceEvent {
+        self.plane.stream.record(TraceEvent {
             tick: self.clock.now(),
             core: id as u32,
             sandbox: id,
@@ -775,7 +754,7 @@ impl FleetSupervisor {
         m.engine = fresh;
         if !will_retire {
             self.reg.inc(self.meta.restarts);
-            self.stream.record(TraceEvent {
+            self.plane.stream.record(TraceEvent {
                 tick: self.clock.now(),
                 core: idx as u32,
                 sandbox: idx as u64,
@@ -791,7 +770,7 @@ impl FleetSupervisor {
         self.members[idx].faults += 1;
         let kind_idx = EngineFault::ALL.iter().position(|f| *f == fault).expect("known kind");
         self.reg.inc(self.meta.faults_by_kind[kind_idx]);
-        self.stream.record(TraceEvent {
+        self.plane.stream.record(TraceEvent {
             tick: self.clock.now(),
             core: idx as u32,
             sandbox: idx as u64,
@@ -813,9 +792,8 @@ impl FleetSupervisor {
         if reason == RetireReason::FaultBudget {
             self.reg.inc(self.meta.retirements);
         }
-        let live = self.members.iter().filter(|m| m.state == MemberState::Live).count();
-        self.reg.set(self.meta.members_live, live as i64);
-        self.stream.record(TraceEvent {
+        self.reg.set(self.meta.members_live, self.members_live() as i64);
+        self.plane.stream.record(TraceEvent {
             tick: self.clock.now(),
             core: idx as u32,
             sandbox: idx as u64,
@@ -847,7 +825,7 @@ impl FleetSupervisor {
         // clock; share it through a RefCell — single-threaded, no borrow
         // overlaps at runtime.
         let clock = std::cell::RefCell::new(&mut self.clock);
-        let stream = &mut self.stream;
+        let stream = &mut self.plane.stream;
         let outcome = retry_with(
             &self.retry,
             |backoff_ms| clock.borrow_mut().advance(backoff_ms * 1_000_000),
@@ -897,7 +875,7 @@ impl FleetSupervisor {
         match outcome {
             Ok(((), attempts)) => {
                 self.reg.add(self.meta.poll_attempts, attempts as u64);
-                self.stream.record(TraceEvent {
+                self.plane.stream.record(TraceEvent {
                     tick: self.clock.now(),
                     core: idx as u32,
                     sandbox: member_id,
@@ -908,7 +886,7 @@ impl FleetSupervisor {
                 // member is back — the quarantine ladder's "rehabilitated"
                 // rung, one level up.
                 if attempts > 1 {
-                    self.stream.record(TraceEvent {
+                    self.plane.stream.record(TraceEvent {
                         tick: self.clock.now(),
                         core: idx as u32,
                         sandbox: member_id,
@@ -935,11 +913,6 @@ impl FleetSupervisor {
     /// The virtual clock (modeled supervision time).
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
-    }
-
-    /// The supervision trace stream.
-    pub fn stream(&self) -> &FlightRecorder {
-        &self.stream
     }
 
     /// Fleet availability: the fraction of member-rounds whose poll
@@ -1001,43 +974,28 @@ impl FleetSupervisor {
     }
 
     /// `/metrics`: Prometheus text of the federated modeled registry plus
-    /// the fleet meta registry.
+    /// the fleet meta registry, the scrape counters and the fleet rules'
+    /// derived series.
     pub fn metrics_text(&self) -> String {
-        let mut merged = self.merged_registry();
-        merged.merge_from(&self.reg);
-        merged.merge_from(self.alerts.derived());
-        prometheus_text(&merged)
-    }
-
-    /// The federated time-series store behind `/query` and the fleet rules.
-    pub fn tsdb(&self) -> &Tsdb {
-        &self.tsdb
+        let mut modeled = self.merged_registry();
+        modeled.merge_from(&self.reg);
+        self.plane.metrics_text(modeled)
     }
 
     /// The fleet rule engine behind `/alerts`.
     pub fn alerts(&self) -> &AlertEngine {
-        &self.alerts
+        &self.plane.alerts
     }
 
     /// `/alerts?since=<cursor>`: the fleet alert states and transition log
     /// — byte-identical across replays, checkpoint recovery included.
     pub fn alerts_body(&self, since: u64) -> String {
-        let mut body = self.alerts.alerts_json(since);
-        body.push('\n');
-        body
+        self.plane.alerts_body(since)
     }
 
-    /// `/query?expr=<urlencoded>`: one tsdb query over the federated store.
+    /// `/query?expr=<expr>`: one tsdb query over the federated store.
     pub fn query_body(&self, expr: &str) -> Result<String, String> {
-        let rows = self.tsdb.query(expr)?;
-        Ok(render_query(expr, self.tsdb.last_round(), &rows))
-    }
-
-    /// `/snapshot`: the federated modeled registry as JSON — equal to the
-    /// label-disambiguated sum of the member snapshots, and (chaos or not)
-    /// to a fault-free fleet of the same configs and round counts.
-    pub fn snapshot_json(&self) -> String {
-        json_snapshot(&self.merged_registry())
+        self.plane.query_body(expr)
     }
 
     /// `/fleet`: per-member liveness, restart count and quarantine state.
@@ -1075,65 +1033,15 @@ impl FleetSupervisor {
         body
     }
 
-    /// `/profile`: the fleet-wide flamegraph — every member's folded
-    /// engine stacks re-rooted under a `member_<id>` frame so per-member
-    /// attribution survives the merge — plus the cross-member latency
-    /// exemplars (shard-order-independent merge). Pure function of the
-    /// modeled fleet state.
-    pub fn profile_body(&self) -> String {
-        let mut folded = FoldedStacks::new();
-        let mut exemplars = BucketExemplars::new();
-        for m in &self.members {
-            for line in m.engine.profile_folded().render().lines() {
-                if let Some((stack, value)) = line.rsplit_once(' ') {
-                    if let Ok(v) = value.parse::<u64>() {
-                        folded.add_folded(&format!("member_{};{stack}", m.id), v);
-                    }
-                }
-            }
-            exemplars.merge_from(m.engine.exemplars());
-        }
-        let lines: Vec<String> = folded
-            .render()
-            .lines()
-            .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
-        format!(
-            "{{\"rounds\": {}, \"members\": {}, \"folded\": [{}], \"exemplars\": {}}}\n",
-            self.rounds,
-            self.members.len(),
-            lines.join(", "),
-            exemplars.render_json(),
-        )
-    }
-
     /// `/trace?since=<cursor>`: the supervision stream, same wire shape as
-    /// the per-engine endpoint (metadata line + chrome-trace lines, gap
-    /// marker when events were lost).
+    /// the per-engine endpoint ([`ScrapePlane`] renders both).
     pub fn trace_body(&self, since: u64) -> String {
-        let d = self.stream.events_since(since);
-        let mut lines = Vec::with_capacity(d.events.len() + 1);
-        if d.dropped > 0 {
-            let next_tick = d.events.first().map_or(0, |e| e.tick);
-            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
-        }
-        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
-        let mut body = format!(
-            "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
-            d.next,
-            d.dropped,
-            lines.len()
-        );
-        for l in &lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        body
+        self.plane.trace_body(since)
     }
 
     /// The post-mortem batch export of the supervision stream.
     pub fn trace_batch(&self) -> String {
-        chrome_trace(&self.stream.events(), NS_PER_TICK)
+        self.plane.trace_batch()
     }
 
     /// `/healthz`: fleet availability and liveness. `uptime_seconds` is the
@@ -1159,90 +1067,69 @@ impl FleetSupervisor {
             uptime_seconds
         )
     }
-
-    /// Dispatches one request against the federated surface. GET only;
-    /// `/quit` answers then stops the accept loop.
-    pub fn route(&mut self, req: &HttpRequest, uptime_seconds: f64) -> (HttpResponse, bool) {
-        if req.method != "GET" {
-            return (HttpResponse::method_not_allowed(), false);
-        }
-        match req.path.as_str() {
-            "/metrics" => {
-                self.reg.inc(self.meta.scrapes[0]);
-                (HttpResponse::prometheus(self.metrics_text()), false)
-            }
-            "/snapshot" => {
-                self.reg.inc(self.meta.scrapes[1]);
-                (HttpResponse::json(self.snapshot_json()), false)
-            }
-            "/trace" => {
-                self.reg.inc(self.meta.scrapes[2]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.trace_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.trace_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/healthz" => {
-                self.reg.inc(self.meta.scrapes[3]);
-                if self.members_live() == 0 {
-                    return (HttpResponse::service_unavailable("no live members"), false);
-                }
-                (HttpResponse::json(self.healthz_body(uptime_seconds)), false)
-            }
-            "/fleet" => {
-                self.reg.inc(self.meta.scrapes[4]);
-                (HttpResponse::json(self.fleet_json()), false)
-            }
-            "/profile" => {
-                self.reg.inc(self.meta.scrapes[5]);
-                (HttpResponse::json(self.profile_body()), false)
-            }
-            "/alerts" => {
-                self.reg.inc(self.meta.scrapes[6]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.alerts_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.alerts_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/query" => {
-                self.reg.inc(self.meta.scrapes[7]);
-                let Some(raw) = req.query_str("expr") else {
-                    return (HttpResponse::bad_request("missing expr parameter"), false);
-                };
-                let Some(expr) = percent_decode(raw) else {
-                    return (HttpResponse::bad_request("malformed percent-encoding"), false);
-                };
-                match self.query_body(&expr) {
-                    Ok(body) => (HttpResponse::json(body), false),
-                    Err(e) => (HttpResponse::bad_request(&e), false),
-                }
-            }
-            "/quit" => (HttpResponse::ok("text/plain", "bye\n".to_owned()), true),
-            _ => (HttpResponse::not_found(), false),
-        }
-    }
 }
 
-/// Runs the blocking accept loop for a shared fleet: each request locks the
-/// supervisor, routes, answers. Returns when `/quit` is served. A poisoned
-/// lock (a driver thread that panicked mid-round) is recovered, not
-/// propagated — the scrape surface must outlive member crashes.
-pub fn fleet_serve_blocking(
-    listener: &TcpListener,
-    fleet: &Mutex<FleetSupervisor>,
-    started: Instant,
-) -> std::io::Result<()> {
-    sfi_telemetry::serve(listener, |req| {
-        let mut sup = fleet.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        sup.route(req, started.elapsed().as_secs_f64())
-    })
+impl ScrapeSurface for FleetSupervisor {
+    const SCRAPE_SERIES: &'static str = "sfi_fleet_scrapes_total";
+    const EXTRA: Option<ExtraEndpoint<Self>> = Some(("/fleet", FleetSupervisor::fleet_json));
+
+    fn plane(&mut self) -> &mut ScrapePlane {
+        &mut self.plane
+    }
+
+    fn metrics_text(&self) -> String {
+        FleetSupervisor::metrics_text(self)
+    }
+
+    /// `/snapshot`: the federated modeled registry as JSON — equal to the
+    /// label-disambiguated sum of the member snapshots, and (chaos or not)
+    /// to a fault-free fleet of the same configs and round counts.
+    fn snapshot_json(&self) -> String {
+        json_snapshot(&self.merged_registry())
+    }
+
+    /// A fleet with no live member answers 503 (retryable) instead of a
+    /// `down` body.
+    fn healthz(&self, uptime_seconds: f64) -> HttpResponse {
+        if self.members_live() == 0 {
+            return HttpResponse::service_unavailable("no live members");
+        }
+        HttpResponse::json(self.healthz_body(uptime_seconds))
+    }
+
+    /// `/profile`: the fleet-wide flamegraph — every member's folded
+    /// engine stacks re-rooted under a `member_<id>` frame so per-member
+    /// attribution survives the merge — plus the cross-member latency
+    /// exemplars (shard-order-independent merge). Pure function of the
+    /// modeled fleet state.
+    fn profile_body(&self) -> String {
+        let mut folded = FoldedStacks::new();
+        let mut exemplars = BucketExemplars::new();
+        for m in &self.members {
+            for line in m.engine.profile_folded().render().lines() {
+                if let Some((stack, value)) = line.rsplit_once(' ') {
+                    if let Ok(v) = value.parse::<u64>() {
+                        folded.add_folded(&format!("member_{};{stack}", m.id), v);
+                    }
+                }
+            }
+            exemplars.merge_from(m.engine.exemplars());
+        }
+        format!(
+            "{{\"rounds\": {}, \"members\": {}, \"folded\": [{}], \"exemplars\": {}}}\n",
+            self.rounds,
+            self.members.len(),
+            folded_json(&folded),
+            exemplars.render_json(),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::route;
+    use sfi_telemetry::HttpRequest;
 
     fn small_fleet(n: u32) -> FleetConfig {
         let mut cfg = FleetConfig::paper_rig(n, 2);
@@ -1285,7 +1172,7 @@ mod tests {
         fleet.run_round();
 
         let req = HttpRequest::parse("GET /profile HTTP/1.1").unwrap();
-        let (resp, stop) = fleet.route(&req, 0.0);
+        let (resp, stop) = route(&mut fleet, &req, 0.0);
         assert!(!stop);
         assert_eq!(resp.status, 200);
         assert!(json_is_valid(&resp.body), "{}", resp.body);
@@ -1296,7 +1183,8 @@ mod tests {
 
         // The supervision stream roots each member round as a level-0 span.
         let roots: Vec<_> = fleet
-            .stream()
+            .plane
+            .stream
             .events()
             .iter()
             .filter(|e| e.kind == TraceKind::Flow)
@@ -1506,7 +1394,7 @@ mod tests {
         fleet.run_round();
         let get = |f: &mut FleetSupervisor, path: &str| {
             let req = HttpRequest::parse(&format!("GET {path} HTTP/1.1")).unwrap();
-            f.route(&req, 0.25)
+            route(f, &req, 0.25)
         };
         let (resp, _) = get(&mut fleet, "/fleet");
         assert_eq!(resp.status, 200);
@@ -1522,10 +1410,10 @@ mod tests {
         assert!(resp.body.starts_with("{\"next\": "));
         let (resp, _) = get(&mut fleet, "/healthz");
         assert!(resp.body.contains("\"uptime_seconds\": 0.250"));
-        let (resp, stop) = get(&mut fleet, "/quit");
-        assert_eq!((resp.status, stop), (200, true));
-        let (resp, _) = get(&mut fleet, "/nope");
-        assert_eq!(resp.status, 404);
+        // Without an alerting policy the store is empty but /query still
+        // answers a well-formed body.
+        let (resp, _) = get(&mut fleet, "/query?expr=sfi_shard_completed_total");
+        assert!(resp.body.contains("\"results\": []"), "{}", resp.body);
     }
 
     /// A small fleet with open-loop members at `rate_rps` and autoscale on
@@ -1714,26 +1602,6 @@ mod tests {
         assert_eq!(again.alerts_body(0), alerts);
         assert_eq!(again.trace_batch(), fleet.trace_batch());
         assert_eq!(again.fleet_json(), fleet.fleet_json());
-    }
-
-    #[test]
-    fn fleet_alert_and_query_hygiene() {
-        let mut fleet = FleetSupervisor::new(small_fleet(1));
-        fleet.run_round();
-        for path in ["/alerts?since=abc", "/trace?since=12x", "/query?expr=%Z1", "/query"] {
-            let req = HttpRequest::parse(&format!("GET {path} HTTP/1.1")).unwrap();
-            let (resp, _) = fleet.route(&req, 0.0);
-            assert_eq!(resp.status, 400, "{path} must 400: {}", resp.body);
-        }
-        let (resp, _) = fleet.route(&HttpRequest::parse("GET /alerts HTTP/1.1").unwrap(), 0.0);
-        assert_eq!((resp.status, resp.content_type), (200, "application/json"));
-        assert!(json_is_valid(resp.body.trim_end()), "{}", resp.body);
-        // Without an alerting policy the store is empty but the endpoints
-        // still answer well-formed bodies.
-        let (resp, _) = fleet
-            .route(&HttpRequest::parse("GET /query?expr=sfi_shard_completed_total HTTP/1.1").unwrap(), 0.0);
-        assert_eq!(resp.status, 200);
-        assert!(resp.body.contains("\"results\": []"), "{}", resp.body);
     }
 
     #[test]

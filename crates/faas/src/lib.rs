@@ -40,14 +40,15 @@ mod shard;
 mod sim;
 
 pub use fleet::{
-    fleet_serve_blocking, AutoscalePolicy, FleetAlertPolicy, FleetConfig, FleetSupervisor,
-    MemberState, MemberStatus, RetireReason, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
+    AutoscalePolicy, FleetAlertPolicy, FleetConfig, FleetSupervisor, MemberState, MemberStatus,
+    RetireReason, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
 };
 pub use qos::{ClassReport, QosConfig, QosReport, SloClass};
 pub use serve::{
-    default_qos_rules, flatten_traces, render_query, round_seed, serve_blocking, ServeConfig,
-    ServeEngine, ALERT_LOG_CAPACITY, BURN_ALERT_THRESHOLD, NS_PER_TICK, SHED_ALERT_THRESHOLD,
-    TSDB_MAX_SERIES, TSDB_WINDOW,
+    default_qos_rules, endpoints, flatten_traces, round_seed, route, serve_background,
+    ExtraEndpoint, ScrapePlane, ScrapeSurface, Served, ServeConfig, ServeEngine,
+    ALERT_LOG_CAPACITY, BURN_ALERT_THRESHOLD, NS_PER_TICK, SHED_ALERT_THRESHOLD, TSDB_MAX_SERIES,
+    TSDB_WINDOW,
 };
 pub use shard::{
     multicore_sweep_json, overload_sweep_json, simulate_multicore, trace_id, CacheMode,

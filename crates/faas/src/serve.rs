@@ -26,16 +26,23 @@
 //! `/healthz` reports availability and quarantine counts from a
 //! [`FailureModel`](crate::FailureModel)-bearing single-core probe
 //! simulation run alongside each round.
+//!
+//! Both scrape surfaces (this engine and the fleet) share the one serving
+//! path defined here: [`ScrapePlane`], [`ScrapeSurface`], [`route`] and
+//! [`serve_background`].
 
+use std::collections::BTreeMap;
 use std::net::TcpListener;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sfi_telemetry::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_snapshot, pack_span,
-    prometheus_text, AlertEngine, AlertRule, BucketExemplars, CompareOp, CounterId, Cursor,
-    FlightRecorder, FoldedStacks, GaugeId, HttpRequest, HttpResponse, RecordingRule, Registry,
-    Retention, RuleSource, SpanLevel, TraceEvent, TraceKind, Tsdb,
+    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_escape, json_snapshot,
+    pack_span, percent_decode, prometheus_text, AlertEngine, AlertRule, BucketExemplars,
+    CompareOp, CounterId, Cursor, FlightRecorder, FoldedStacks, GaugeId, HttpRequest,
+    HttpResponse, RecordingRule, Registry, Retention, RuleSource, SpanLevel, TraceEvent,
+    TraceKind, Tsdb,
 };
 
 use crate::qos::SloClass;
@@ -148,21 +155,6 @@ pub fn round_seed(base: u64, round: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Renders one `/query` evaluation as deterministic JSON — shared by the
-/// per-engine and fleet scrape surfaces.
-pub fn render_query(expr: &str, round: u64, rows: &[(String, f64)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut body = format!("{{\"expr\": \"{}\", \"round\": {round}, \"results\": [", esc(expr));
-    for (i, (key, value)) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push_str(&format!("{{\"series\": \"{}\", \"value\": {:.6}}}", esc(key), value));
-    }
-    body.push_str("]}\n");
-    body
-}
-
 /// Flattens per-core flight-recorder dumps onto one timeline: cores are
 /// chained in index order, then stably sorted by tick — ties keep core
 /// order, so the result is deterministic.
@@ -170,6 +162,310 @@ pub fn flatten_traces(traces: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
     let mut all: Vec<TraceEvent> = traces.iter().flatten().copied().collect();
     all.sort_by_key(|e| e.tick);
     all
+}
+
+/// The router's endpoint table for surface `S`: the endpoints every
+/// surface serves, plus its extra one ([`ScrapeSurface::EXTRA`]). Scrape
+/// counters, banners and self-checks all read this one list; `/quit` is
+/// answered by the router but is not a scrape endpoint.
+pub fn endpoints<S: ScrapeSurface>() -> Vec<&'static str> {
+    ["/metrics", "/snapshot", "/trace", "/healthz", "/profile", "/alerts", "/query"]
+        .into_iter()
+        .chain(S::EXTRA.map(|(path, _)| path))
+        .collect()
+}
+
+/// The scrape plane both serving surfaces embed: the cumulative event
+/// stream behind `/trace`, the time-series store behind `/query`, the
+/// rule engine behind `/alerts`, and the per-endpoint scrape counters.
+/// The stream, store and rule engine are modeled state — a pure function
+/// of `(config, rounds)` — while the counters live in a meta registry
+/// that only `/metrics` includes, so scraping never changes `/snapshot`.
+#[derive(Debug)]
+pub struct ScrapePlane {
+    /// Cumulative event stream (fault events pinned: a long-serving
+    /// surface ages out enter/exit chatter, never the traps and recycles a
+    /// post-mortem needs).
+    pub(crate) stream: FlightRecorder,
+    /// Bounded in-memory store, ingested once per round; backs `/query`
+    /// and the rule engine.
+    pub(crate) tsdb: Tsdb,
+    /// Recording + alert rules evaluated once per round over the store.
+    /// Its derived registry rides `/metrics` only, never `/snapshot`.
+    pub(crate) alerts: AlertEngine,
+    meta: Registry,
+    /// Scrape counters keyed by endpoint path.
+    scrapes: BTreeMap<&'static str, CounterId>,
+}
+
+impl ScrapePlane {
+    /// A fresh plane for surface `S`: a stream of `capacity` events, one
+    /// `S::SCRAPE_SERIES{endpoint=…}` counter per endpoint in `S`'s table,
+    /// and `alerts` with its rules already installed.
+    pub(crate) fn new<S: ScrapeSurface>(capacity: usize, alerts: AlertEngine) -> ScrapePlane {
+        let mut meta = Registry::new();
+        let scrapes = endpoints::<S>()
+            .into_iter()
+            .map(|path| (path, meta.counter_with(S::SCRAPE_SERIES, &[("endpoint", &path[1..])])))
+            .collect();
+        ScrapePlane {
+            stream: FlightRecorder::with_retention(capacity, Retention::PinFaults),
+            tsdb: Tsdb::new(TSDB_WINDOW, TSDB_MAX_SERIES),
+            alerts,
+            meta,
+            scrapes,
+        }
+    }
+
+    /// Counts one scrape of `path`; `false` when `path` is not in the
+    /// surface's endpoint table.
+    fn count_scrape(&mut self, path: &str) -> bool {
+        let Some(&id) = self.scrapes.get(path) else { return false };
+        self.meta.inc(id);
+        true
+    }
+
+    /// Evaluates the rules after round `round` and mirrors each transition
+    /// into the stream as a `TraceKind::Alert` event at `tick` (sandbox =
+    /// rule index, arg = transition code), so alert history shows up on
+    /// the trace timeline.
+    pub(crate) fn evaluate_alerts(&mut self, round: u64, tick: u64) {
+        for t in self.alerts.evaluate(round, &mut self.tsdb) {
+            self.stream.record(TraceEvent {
+                tick,
+                core: 0,
+                sandbox: t.rule_idx as u64,
+                kind: TraceKind::Alert,
+                arg: t.transition.code(),
+            });
+        }
+    }
+
+    /// `/metrics`: Prometheus text of `modeled` plus the scrape counters
+    /// and the rule engine's derived series.
+    pub(crate) fn metrics_text(&self, mut modeled: Registry) -> String {
+        modeled.merge_from(&self.meta);
+        modeled.merge_from(self.alerts.derived());
+        prometheus_text(&modeled)
+    }
+
+    /// `/trace?since=<cursor>`: a metadata line (`next` cursor, events
+    /// `dropped` before the cursor, line count) followed by one
+    /// chrome-trace event line per `\n`. A client that concatenates the
+    /// lines from successive drains and wraps them with
+    /// [`sfi_telemetry::chrome_trace_wrap`] reproduces
+    /// [`ScrapePlane::trace_batch`] byte-for-byte. A drain that observed
+    /// `dropped > 0` leads with a `trace_gap` marker line
+    /// ([`chrome_trace_gap_line`]) so the re-wrapped document both stays
+    /// valid JSON and shows the gap on the timeline.
+    pub(crate) fn trace_body(&self, since: u64) -> String {
+        let d = self.stream.events_since(since);
+        let mut lines = Vec::with_capacity(d.events.len() + 1);
+        if d.dropped > 0 {
+            let next_tick = d.events.first().map_or(0, |e| e.tick);
+            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
+        }
+        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
+        let mut body = format!(
+            "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
+            d.next,
+            d.dropped,
+            lines.len()
+        );
+        for l in &lines {
+            body.push_str(l);
+            body.push('\n');
+        }
+        body
+    }
+
+    /// The post-mortem batch export of the full retained stream — the
+    /// byte-identity reference for incremental `/trace` drains.
+    pub(crate) fn trace_batch(&self) -> String {
+        chrome_trace(&self.stream.events(), NS_PER_TICK)
+    }
+
+    /// `/alerts?since=<cursor>`: active alert states plus the logged
+    /// transitions at or after `since` — deterministic JSON, byte-identical
+    /// across replays of the same `(config, rounds)`.
+    pub(crate) fn alerts_body(&self, since: u64) -> String {
+        let mut body = self.alerts.alerts_json(since);
+        body.push('\n');
+        body
+    }
+
+    /// `/query?expr=<urlencoded>`: evaluates one store query expression
+    /// (`sel`, `rate(sel[Nr])`, `increase(sel[Nr])`, `avg_over_time`,
+    /// `max_over_time`) against the retained window, as deterministic
+    /// JSON. `Err` carries the parse error for the 400 body.
+    pub(crate) fn query_body(&self, expr: &str) -> Result<String, String> {
+        let rows = self.tsdb.query(expr)?;
+        let mut body = format!(
+            "{{\"expr\": \"{}\", \"round\": {}, \"results\": [",
+            json_escape(expr),
+            self.tsdb.last_round()
+        );
+        for (i, (key, value)) in rows.iter().enumerate() {
+            if i > 0 {
+                body.push_str(", ");
+            }
+            body.push_str(&format!(
+                "{{\"series\": \"{}\", \"value\": {:.6}}}",
+                json_escape(key),
+                value
+            ));
+        }
+        body.push_str("]}\n");
+        Ok(body)
+    }
+}
+
+/// A surface-specific endpoint: its path and its JSON body renderer.
+pub type ExtraEndpoint<S> = (&'static str, fn(&S) -> String);
+
+/// A scrape surface: what differs between the per-engine surface
+/// ([`ServeEngine`]) and the fleet one ([`crate::FleetSupervisor`]). The
+/// shared parts — the [`ScrapePlane`], cursor parsing, percent-decoding,
+/// 400/404/405 answers and `/quit` — live in [`route`].
+pub trait ScrapeSurface {
+    /// The `{endpoint="…"}`-labeled scrape counter series in `/metrics`.
+    const SCRAPE_SERIES: &'static str;
+    /// The surface's one endpoint beyond the shared [`endpoints`], if any.
+    const EXTRA: Option<ExtraEndpoint<Self>> = None;
+    /// The embedded scrape plane (mutable: the router counts scrapes).
+    fn plane(&mut self) -> &mut ScrapePlane;
+    /// `/metrics` body.
+    fn metrics_text(&self) -> String;
+    /// `/snapshot` body.
+    fn snapshot_json(&self) -> String;
+    /// `/healthz` response; `uptime_seconds` is the one wall-clock field.
+    fn healthz(&self, uptime_seconds: f64) -> HttpResponse;
+    /// `/profile` body.
+    fn profile_body(&self) -> String;
+}
+
+/// Dispatches one request against surface `s`. Returns the response plus
+/// the stop flag (`/quit` answers then stops the accept loop — the clean
+/// shutdown path CI exercises). GET only. Every endpoint in the surface's
+/// table counts its scrape before rendering, malformed requests included.
+pub fn route<S: ScrapeSurface>(
+    s: &mut S,
+    req: &HttpRequest,
+    uptime_seconds: f64,
+) -> (HttpResponse, bool) {
+    if req.method != "GET" {
+        return (HttpResponse::method_not_allowed(), false);
+    }
+    if req.path == "/quit" {
+        return (HttpResponse::ok("text/plain", "bye\n".to_owned()), true);
+    }
+    let plane = s.plane();
+    if !plane.count_scrape(&req.path) {
+        return (HttpResponse::not_found(), false);
+    }
+    let cursor = |render: &dyn Fn(u64) -> String| match req.cursor("since") {
+        Cursor::Absent => HttpResponse::json(render(0)),
+        Cursor::At(since) => HttpResponse::json(render(since)),
+        Cursor::Malformed => HttpResponse::bad_request("malformed since cursor"),
+    };
+    let resp = match req.path.as_str() {
+        "/metrics" => HttpResponse::prometheus(s.metrics_text()),
+        "/snapshot" => HttpResponse::json(s.snapshot_json()),
+        "/trace" => cursor(&|since| plane.trace_body(since)),
+        "/healthz" => s.healthz(uptime_seconds),
+        "/profile" => HttpResponse::json(s.profile_body()),
+        "/alerts" => cursor(&|since| plane.alerts_body(since)),
+        "/query" => match req.query_str("expr").map(percent_decode) {
+            None => HttpResponse::bad_request("missing expr parameter"),
+            Some(None) => HttpResponse::bad_request("malformed percent-encoding"),
+            Some(Some(expr)) => match plane.query_body(&expr) {
+                Ok(body) => HttpResponse::json(body),
+                Err(e) => HttpResponse::bad_request(&e),
+            },
+        },
+        _ => {
+            let (_, render) = S::EXTRA.expect("the plane counts only table endpoints");
+            HttpResponse::json(render(s))
+        }
+    };
+    (resp, false)
+}
+
+/// Locks a shared surface, recovering a poisoned lock: a round that
+/// panicked mid-way leaves the last completed state scrapeable — the
+/// scrape surface must outlive member crashes. The panic itself still
+/// unwinds the driving thread.
+fn lock<S>(surface: &Mutex<S>) -> MutexGuard<'_, S> {
+    surface.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A surface answering scrapes on a loopback listener from a background
+/// accept-loop thread, while the caller drives rounds — the one serving
+/// path behind both binaries, their `--check` gates and the loopback
+/// tests.
+#[derive(Debug)]
+pub struct Served<S> {
+    /// The bound address, `127.0.0.1:PORT`.
+    pub addr: String,
+    surface: Arc<Mutex<S>>,
+    server: JoinHandle<std::io::Result<()>>,
+}
+
+/// Binds `127.0.0.1:port` (0 picks an ephemeral port) and runs the
+/// accept loop on a background thread until `/quit`: each request locks
+/// the surface, [`route`]s, answers. The start time anchors the
+/// `/healthz` uptime (the only wall-clock reading). Fails only if the
+/// port cannot be bound.
+pub fn serve_background<S: ScrapeSurface + Send + 'static>(
+    port: u16,
+    surface: S,
+) -> std::io::Result<Served<S>> {
+    let listener = TcpListener::bind(("127.0.0.1", port))?;
+    let addr = listener.local_addr()?.to_string();
+    let surface = Arc::new(Mutex::new(surface));
+    let started = Instant::now();
+    let server = {
+        let surface = Arc::clone(&surface);
+        std::thread::spawn(move || {
+            sfi_telemetry::serve(&listener, |req| {
+                route(&mut *lock(&surface), req, started.elapsed().as_secs_f64())
+            })
+        })
+    };
+    Ok(Served { addr, surface, server })
+}
+
+impl<S> Served<S> {
+    /// Locks the surface, recovering a poisoned lock like the accept loop.
+    pub fn lock(&self) -> MutexGuard<'_, S> {
+        lock(&self.surface)
+    }
+
+    /// Runs `round` back to back until `/quit` is served or `max_rounds`
+    /// rounds have run. A panicking round propagates to the caller, so a
+    /// binary whose driver dies exits non-zero.
+    pub fn drive(&self, max_rounds: Option<u64>, round: fn(&mut S)) {
+        let mut rounds = 0u64;
+        while !self.server.is_finished() && max_rounds.is_none_or(|m| rounds < m) {
+            round(&mut self.lock());
+            rounds += 1;
+        }
+    }
+
+    /// Waits for `/quit`, then returns the surface.
+    pub fn join(self) -> S {
+        self.server.join().expect("server thread").expect("serve loop");
+        let surface = Arc::into_inner(self.surface).expect("the server thread is joined");
+        surface.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Renders folded-stack collapse lines as the elements of a JSON array
+/// (`"a;b 3", "a;c 1"`) — the `/profile` `folded` field on both surfaces.
+pub(crate) fn folded_json(folded: &FoldedStacks) -> String {
+    let lines: Vec<String> =
+        folded.render().lines().map(|l| format!("\"{}\"", json_escape(l))).collect();
+    lines.join(", ")
 }
 
 /// The live serving engine: cumulative modeled state plus scrape
@@ -182,8 +478,11 @@ pub struct ServeEngine {
     /// Cumulative modeled registry (merge of every round's report
     /// registry). This — and nothing else — backs `/snapshot`.
     registry: Registry,
-    /// Cumulative event stream on the continuous timeline.
-    stream: FlightRecorder,
+    /// Stream (on the continuous timeline), tsdb, rules and scrape
+    /// counters. The tsdb ingests the modeled and burn registries once per
+    /// round — a pure function of `(config, rounds)` like everything else
+    /// modeled, so crash recovery replays it byte-identically.
+    plane: ScrapePlane,
     /// Poisoned instances quarantined+recycled by the health probe so far.
     quarantined: u64,
     /// Probe requests dead-lettered so far.
@@ -194,10 +493,6 @@ pub struct ServeEngine {
     /// round). Modeled state: a pure function of `(config, rounds)`, which
     /// is what lets autoscale decisions replay byte-identically.
     occupancy: f64,
-    /// Scrape bookkeeping: merged into `/metrics` output only, never into
-    /// `/snapshot`, so serving has zero observer effect on modeled series.
-    meta: Registry,
-    scrapes: [CounterId; 7],
     /// Cumulative per-bucket latency exemplars (populated only when the
     /// engine config enables spans), served via `/profile`.
     exemplars: BucketExemplars,
@@ -208,14 +503,6 @@ pub struct ServeEngine {
     /// accumulate across rounds instead of tracking the current burn.
     burn: Registry,
     burn_ids: Option<[GaugeId; 3]>,
-    /// Bounded in-memory time-series store over the modeled and burn
-    /// registries, ingested once per round. Backs `/query` and the rule
-    /// engine; a pure function of `(config, rounds)` like everything else
-    /// modeled, so crash recovery replays it byte-identically.
-    tsdb: Tsdb,
-    /// Recording + alert rules evaluated once per round over the tsdb.
-    /// Its derived registry rides `/metrics` only, never `/snapshot`.
-    alerts: AlertEngine,
 }
 
 impl ServeEngine {
@@ -224,10 +511,6 @@ impl ServeEngine {
     /// enter/exit chatter, never the traps and quarantine recycles a
     /// post-mortem needs.
     pub fn new(cfg: ServeConfig) -> ServeEngine {
-        let stream = FlightRecorder::with_retention(cfg.stream_capacity, Retention::PinFaults);
-        let mut meta = Registry::new();
-        let scrapes = ["metrics", "snapshot", "trace", "healthz", "profile", "alerts", "query"]
-            .map(|ep| meta.counter_with("sfi_serve_scrapes_total", &[("endpoint", ep)]));
         let mut alerts = AlertEngine::new(ALERT_LOG_CAPACITY);
         if cfg.engine.qos.is_some() {
             default_qos_rules(&mut alerts);
@@ -240,21 +523,17 @@ impl ServeEngine {
             })
         });
         ServeEngine {
+            plane: ScrapePlane::new::<ServeEngine>(cfg.stream_capacity, alerts),
             cfg,
             rounds: 0,
             registry: Registry::new(),
-            stream,
             quarantined: 0,
             dead_lettered: 0,
             availability: 1.0,
             occupancy: 0.0,
-            meta,
-            scrapes,
             exemplars: BucketExemplars::new(),
             burn,
             burn_ids,
-            tsdb: Tsdb::new(TSDB_WINDOW, TSDB_MAX_SERIES),
-            alerts,
         }
     }
 
@@ -273,7 +552,7 @@ impl ServeEngine {
         // requests' queue-wait/admission/invoke edges on the timeline.
         let round_tid = trace_id(self.cfg.engine.seed ^ 0x0E11_6120, self.rounds);
         if self.cfg.engine.spans {
-            self.stream.record(TraceEvent {
+            self.plane.stream.record(TraceEvent {
                 tick: offset,
                 core: 0,
                 sandbox: round_tid,
@@ -282,10 +561,10 @@ impl ServeEngine {
             });
         }
         for ev in flatten_traces(&report.traces) {
-            self.stream.record(TraceEvent { tick: ev.tick + offset, ..ev });
+            self.plane.stream.record(TraceEvent { tick: ev.tick + offset, ..ev });
         }
         if self.cfg.engine.spans {
-            self.stream.record(TraceEvent {
+            self.plane.stream.record(TraceEvent {
                 tick: offset + self.cfg.engine.duration_ms * 1_000_000,
                 core: 0,
                 sandbox: round_tid,
@@ -302,22 +581,12 @@ impl ServeEngine {
         self.occupancy = report.occupancy;
         self.rounds += 1;
         self.update_burn();
-        // Ingest this round's cumulative levels, then evaluate the rules.
-        // Each transition is mirrored into the stream as a `TraceKind::Alert`
-        // event at the round's closing tick (sandbox = rule index, arg =
-        // transition code) so alert history shows up on the trace timeline.
-        self.tsdb.ingest(self.rounds, &self.registry);
-        self.tsdb.ingest(self.rounds, &self.burn);
+        // Ingest this round's cumulative levels, then evaluate the rules;
+        // transitions land on the stream at the round's closing tick.
+        self.plane.tsdb.ingest(self.rounds, &self.registry);
+        self.plane.tsdb.ingest(self.rounds, &self.burn);
         let end_tick = self.rounds * self.cfg.engine.duration_ms * 1_000_000;
-        for t in self.alerts.evaluate(self.rounds, &mut self.tsdb) {
-            self.stream.record(TraceEvent {
-                tick: end_tick,
-                core: 0,
-                sandbox: t.rule_idx as u64,
-                kind: TraceKind::Alert,
-                arg: t.transition.code(),
-            });
-        }
+        self.plane.evaluate_alerts(self.rounds, end_tick);
         report
     }
 
@@ -362,7 +631,7 @@ impl ServeEngine {
 
     /// The cumulative event stream.
     pub fn stream(&self) -> &FlightRecorder {
-        &self.stream
+        &self.plane.stream
     }
 
     /// The cumulative per-bucket latency exemplars (empty unless the engine
@@ -371,42 +640,9 @@ impl ServeEngine {
         &self.exemplars
     }
 
-    /// `/metrics`: Prometheus text of the modeled registry plus the serve
-    /// meta registry (scrape counters).
-    pub fn metrics_text(&self) -> String {
-        let mut merged = self.registry.clone();
-        merged.merge_from(&self.meta);
-        merged.merge_from(&self.burn);
-        merged.merge_from(self.alerts.derived());
-        prometheus_text(&merged)
-    }
-
-    /// The in-memory time-series store behind `/query` and the rule engine.
-    pub fn tsdb(&self) -> &Tsdb {
-        &self.tsdb
-    }
-
     /// The rule engine behind `/alerts`.
     pub fn alerts(&self) -> &AlertEngine {
-        &self.alerts
-    }
-
-    /// `/alerts?since=<cursor>`: active alert states plus the logged
-    /// transitions at or after `since` — deterministic JSON, byte-identical
-    /// across replays of the same `(config, rounds)`.
-    pub fn alerts_body(&self, since: u64) -> String {
-        let mut body = self.alerts.alerts_json(since);
-        body.push('\n');
-        body
-    }
-
-    /// `/query?expr=<urlencoded>`: evaluates one tsdb query expression
-    /// (`sel`, `rate(sel[Nr])`, `increase(sel[Nr])`, `avg_over_time`,
-    /// `max_over_time`) against the retained window. `Err` carries the
-    /// parse error for the 400 body.
-    pub fn query_body(&self, expr: &str) -> Result<String, String> {
-        let rows = self.tsdb.query(expr)?;
-        Ok(render_query(expr, self.tsdb.last_round(), &rows))
+        &self.plane.alerts
     }
 
     /// The per-class SLO burn gauge registry (empty without QoS). Exposed
@@ -432,21 +668,59 @@ impl ServeEngine {
         f
     }
 
+    /// The post-mortem batch export of the full retained stream — the
+    /// byte-identity reference for incremental `/trace` drains.
+    pub fn trace_batch(&self) -> String {
+        self.plane.trace_batch()
+    }
+
+    /// `/healthz`: availability and quarantine state from the failure-model
+    /// probe. `uptime_seconds` is the one place wall time is allowed.
+    pub fn healthz_body(&self, uptime_seconds: f64) -> String {
+        let status = if self.availability >= 0.9 { "ok" } else { "degraded" };
+        format!(
+            "{{\"status\": \"{}\", \"rounds\": {}, \"availability\": {:.6}, \
+             \"quarantined_instances\": {}, \"dead_lettered\": {}, \"uptime_seconds\": {:.3}}}\n",
+            status, self.rounds, self.availability, self.quarantined, self.dead_lettered,
+            uptime_seconds
+        )
+    }
+}
+
+impl ScrapeSurface for ServeEngine {
+    const SCRAPE_SERIES: &'static str = "sfi_serve_scrapes_total";
+
+    fn plane(&mut self) -> &mut ScrapePlane {
+        &mut self.plane
+    }
+
+    /// `/metrics`: Prometheus text of the modeled registry, the burn
+    /// gauges, the scrape counters and the rule engine's derived series.
+    fn metrics_text(&self) -> String {
+        let mut modeled = self.registry.clone();
+        modeled.merge_from(&self.burn);
+        self.plane.metrics_text(modeled)
+    }
+
+    /// `/snapshot`: the modeled registry as JSON — byte-identical to what
+    /// an offline replay of the same config and round count exports.
+    fn snapshot_json(&self) -> String {
+        json_snapshot(&self.registry)
+    }
+
+    fn healthz(&self, uptime_seconds: f64) -> HttpResponse {
+        HttpResponse::json(self.healthz_body(uptime_seconds))
+    }
+
     /// `/profile`: the folded-stack flamegraph (one collapse line per array
     /// element), the per-bucket latency exemplars keyed by bucket upper
     /// bound, and — when QoS is on — the per-class SLO burn gauges.
     /// Deterministic: a pure function of `(config, rounds run)`.
-    pub fn profile_body(&self) -> String {
-        let folded = self.profile_folded();
-        let lines: Vec<String> = folded
-            .render()
-            .lines()
-            .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
+    fn profile_body(&self) -> String {
         let mut body = format!(
             "{{\"rounds\": {}, \"folded\": [{}], \"exemplars\": {}",
             self.rounds,
-            lines.join(", "),
+            folded_json(&self.profile_folded()),
             self.exemplars.render_json(),
         );
         if let (Some(_), Some(q)) = (self.burn_ids, self.cfg.engine.qos.as_ref()) {
@@ -468,138 +742,12 @@ impl ServeEngine {
         body.push_str("}\n");
         body
     }
-
-    /// `/snapshot`: the modeled registry as JSON — byte-identical to what
-    /// an offline replay of the same config and round count exports.
-    pub fn snapshot_json(&self) -> String {
-        json_snapshot(&self.registry)
-    }
-
-    /// `/trace?since=<cursor>`: a metadata line (`next` cursor, events
-    /// `dropped` before the cursor, line count) followed by one
-    /// chrome-trace event line per `\n`. A client that concatenates the
-    /// lines from successive drains and wraps them with
-    /// [`sfi_telemetry::chrome_trace_wrap`] reproduces
-    /// [`ServeEngine::trace_batch`] byte-for-byte. A drain that observed
-    /// `dropped > 0` leads with a `trace_gap` marker line
-    /// ([`chrome_trace_gap_line`]) so the re-wrapped document both stays
-    /// valid JSON and shows the gap on the timeline.
-    pub fn trace_body(&self, since: u64) -> String {
-        let d = self.stream.events_since(since);
-        let mut lines = Vec::with_capacity(d.events.len() + 1);
-        if d.dropped > 0 {
-            let next_tick = d.events.first().map_or(0, |e| e.tick);
-            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
-        }
-        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
-        let mut body = format!(
-            "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
-            d.next,
-            d.dropped,
-            lines.len()
-        );
-        for l in &lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        body
-    }
-
-    /// The post-mortem batch export of the full retained stream — the
-    /// byte-identity reference for incremental `/trace` drains.
-    pub fn trace_batch(&self) -> String {
-        chrome_trace(&self.stream.events(), NS_PER_TICK)
-    }
-
-    /// `/healthz`: availability and quarantine state from the failure-model
-    /// probe. `uptime_seconds` is the one place wall time is allowed.
-    pub fn healthz_body(&self, uptime_seconds: f64) -> String {
-        let status = if self.availability >= 0.9 { "ok" } else { "degraded" };
-        format!(
-            "{{\"status\": \"{}\", \"rounds\": {}, \"availability\": {:.6}, \
-             \"quarantined_instances\": {}, \"dead_lettered\": {}, \"uptime_seconds\": {:.3}}}\n",
-            status, self.rounds, self.availability, self.quarantined, self.dead_lettered,
-            uptime_seconds
-        )
-    }
-
-    /// Dispatches one request. Returns the response plus the stop flag
-    /// (`/quit` answers then stops the accept loop — the clean shutdown
-    /// path CI exercises). GET only.
-    pub fn route(&mut self, req: &HttpRequest, uptime_seconds: f64) -> (HttpResponse, bool) {
-        if req.method != "GET" {
-            return (HttpResponse::method_not_allowed(), false);
-        }
-        match req.path.as_str() {
-            "/metrics" => {
-                self.meta.inc(self.scrapes[0]);
-                (HttpResponse::prometheus(self.metrics_text()), false)
-            }
-            "/snapshot" => {
-                self.meta.inc(self.scrapes[1]);
-                (HttpResponse::json(self.snapshot_json()), false)
-            }
-            "/trace" => {
-                self.meta.inc(self.scrapes[2]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.trace_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.trace_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/healthz" => {
-                self.meta.inc(self.scrapes[3]);
-                (HttpResponse::json(self.healthz_body(uptime_seconds)), false)
-            }
-            "/profile" => {
-                self.meta.inc(self.scrapes[4]);
-                (HttpResponse::json(self.profile_body()), false)
-            }
-            "/alerts" => {
-                self.meta.inc(self.scrapes[5]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.alerts_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.alerts_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/query" => {
-                self.meta.inc(self.scrapes[6]);
-                let Some(raw) = req.query_str("expr") else {
-                    return (HttpResponse::bad_request("missing expr parameter"), false);
-                };
-                let Some(expr) = sfi_telemetry::percent_decode(raw) else {
-                    return (HttpResponse::bad_request("malformed percent-encoding"), false);
-                };
-                match self.query_body(&expr) {
-                    Ok(body) => (HttpResponse::json(body), false),
-                    Err(e) => (HttpResponse::bad_request(&e), false),
-                }
-            }
-            "/quit" => (HttpResponse::ok("text/plain", "bye\n".to_owned()), true),
-            _ => (HttpResponse::not_found(), false),
-        }
-    }
-}
-
-/// Runs the blocking accept loop for a shared engine: each request locks
-/// the engine, routes, answers. Returns when `/quit` is served. `started`
-/// anchors the `/healthz` uptime (the only wall-clock reading).
-pub fn serve_blocking(
-    listener: &TcpListener,
-    engine: &Mutex<ServeEngine>,
-    started: Instant,
-) -> std::io::Result<()> {
-    sfi_telemetry::serve(listener, |req| {
-        let mut eng = engine.lock().expect("engine lock");
-        eng.route(req, started.elapsed().as_secs_f64())
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfi_telemetry::chrome_trace_wrap;
+    use sfi_telemetry::{chrome_trace_wrap, json_is_valid};
 
     fn small_cfg() -> ServeConfig {
         let mut cfg = ServeConfig::paper_rig(2);
@@ -617,7 +765,7 @@ mod tests {
                 // Scraping between rounds must not perturb anything modeled.
                 for _ in 0..scrapes {
                     let _ = eng.metrics_text();
-                    let _ = eng.trace_body(0);
+                    let _ = eng.plane.trace_body(0);
                 }
             }
             (eng.snapshot_json(), eng.trace_batch())
@@ -637,7 +785,7 @@ mod tests {
         let mut lines: Vec<String> = Vec::new();
         for _ in 0..3 {
             eng.run_round();
-            let body = eng.trace_body(cursor);
+            let body = eng.plane.trace_body(cursor);
             let mut it = body.lines();
             let head = it.next().unwrap();
             assert!(head.contains("\"dropped\": 0"), "{head}");
@@ -649,7 +797,7 @@ mod tests {
         assert_eq!(cursor, eng.stream().total_recorded());
         assert_eq!(chrome_trace_wrap(&lines), eng.trace_batch());
         // A fully drained cursor yields an empty incremental body.
-        let empty = eng.trace_body(cursor);
+        let empty = eng.plane.trace_body(cursor);
         assert!(empty.contains("\"lines\": 0"), "{empty}");
     }
 
@@ -668,7 +816,7 @@ mod tests {
     #[test]
     fn profile_endpoint_serves_flamegraph_exemplars_and_burn() {
         use crate::qos::QosConfig;
-        use sfi_telemetry::{json_is_valid, unpack_span};
+        use sfi_telemetry::unpack_span;
         let mut cfg = small_cfg();
         cfg.engine.spans = true;
         cfg.engine.qos = Some(QosConfig::paper_rig());
@@ -677,7 +825,7 @@ mod tests {
         eng.run_round();
 
         let req = HttpRequest::parse("GET /profile HTTP/1.1").unwrap();
-        let (resp, stop) = eng.route(&req, 0.0);
+        let (resp, stop) = route(&mut eng, &req, 0.0);
         assert!(!stop);
         assert_eq!(resp.status, 200);
         assert!(json_is_valid(&resp.body), "{}", resp.body);
@@ -727,7 +875,6 @@ mod tests {
     #[test]
     fn alerts_and_query_endpoints_serve_the_tsdb() {
         use crate::qos::QosConfig;
-        use sfi_telemetry::json_is_valid;
         let mk = || {
             let mut cfg = small_cfg();
             cfg.engine.qos = Some(QosConfig::paper_rig());
@@ -740,34 +887,20 @@ mod tests {
 
         // The store saw the modeled registry: counters, burn gauges, and
         // the goodput recording-rule outputs are all queryable.
-        assert!(eng.tsdb().series_count() > 0);
-        let burn = eng.query_body("sfi_qos_slo_burn_permille").unwrap();
+        assert!(eng.plane.tsdb.series_count() > 0);
+        let burn = eng.plane.query_body("sfi_qos_slo_burn_permille").unwrap();
         assert!(burn.contains("latency_sensitive"), "{burn}");
-        let good = eng.query_body("sfi_qos_goodput_permille").unwrap();
+        let good = eng.plane.query_body("sfi_qos_goodput_permille").unwrap();
         assert!(good.contains("\"results\": [{"), "{good}");
 
-        let (resp, _) = eng.route(&HttpRequest::parse("GET /alerts HTTP/1.1").unwrap(), 0.0);
+        let (resp, _) = route(&mut eng, &HttpRequest::parse("GET /alerts HTTP/1.1").unwrap(), 0.0);
         assert_eq!((resp.status, resp.content_type), (200, "application/json"));
         assert!(json_is_valid(resp.body.trim_end()), "{}", resp.body);
         assert!(resp.body.contains("\"states\""), "{}", resp.body);
-        let (resp, _) = eng
-            .route(&HttpRequest::parse("GET /query?expr=rate(sfi_shard_completed_total[4r]) HTTP/1.1").unwrap(), 0.0);
+        let (resp, _) = get(&mut eng, "/query?expr=rate(sfi_shard_completed_total[4r])");
         assert_eq!(resp.status, 200);
         assert!(json_is_valid(resp.body.trim_end()), "{}", resp.body);
         assert!(resp.body.contains("\"value\""), "{}", resp.body);
-
-        // Hygiene: malformed cursors and expressions answer 400, not 200.
-        for path in [
-            "/alerts?since=abc",
-            "/trace?since=-1",
-            "/query?expr=%ZZ",
-            "/query",
-            "/query?expr=rate(sfi_shard_completed_total[0r)",
-        ] {
-            let req = HttpRequest::parse(&format!("GET {path} HTTP/1.1")).unwrap();
-            let (resp, _) = eng.route(&req, 0.0);
-            assert_eq!(resp.status, 400, "{path} must 400: {}", resp.body);
-        }
 
         // Derived goodput gauges ride /metrics, never the modeled snapshot.
         assert!(eng.metrics_text().contains("sfi_qos_goodput_permille"));
@@ -780,11 +913,11 @@ mod tests {
             for _ in 0..3 {
                 eng.run_round();
                 for _ in 0..scrapes {
-                    let _ = eng.alerts_body(0);
-                    let _ = eng.query_body("sfi_qos_slo_burn_permille").unwrap();
+                    let _ = eng.plane.alerts_body(0);
+                    let _ = eng.plane.query_body("sfi_qos_slo_burn_permille").unwrap();
                 }
             }
-            (eng.alerts_body(0), eng.snapshot_json(), eng.trace_batch())
+            (eng.plane.alerts_body(0), eng.snapshot_json(), eng.trace_batch())
         };
         assert_eq!(rebuild(0), rebuild(4), "alert scrapes perturbed modeled state");
     }
@@ -794,18 +927,108 @@ mod tests {
         let mut eng = ServeEngine::new(small_cfg());
         eng.run_round();
         let req = HttpRequest::parse("GET /metrics HTTP/1.1").unwrap();
-        let (resp, stop) = eng.route(&req, 0.0);
+        let (resp, stop) = route(&mut eng, &req, 0.0);
         assert!(!stop);
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("sfi_serve_scrapes_total{endpoint=\"metrics\"} 1"));
         assert!(!eng.snapshot_json().contains("sfi_serve_scrapes_total"));
 
-        let (health, _) = eng.route(&HttpRequest::parse("GET /healthz HTTP/1.1").unwrap(), 1.5);
+        let req = HttpRequest::parse("GET /healthz HTTP/1.1").unwrap();
+        let (health, _) = route(&mut eng, &req, 1.5);
         assert!(health.body.contains("\"status\""), "{}", health.body);
         assert!(health.body.contains("\"uptime_seconds\": 1.500"));
-        let (resp, stop) = eng.route(&HttpRequest::parse("GET /quit HTTP/1.1").unwrap(), 0.0);
-        assert_eq!((resp.status, stop), (200, true));
-        let (resp, _) = eng.route(&HttpRequest::parse("GET /nope HTTP/1.1").unwrap(), 0.0);
-        assert_eq!(resp.status, 404);
+    }
+
+    fn get<S: ScrapeSurface>(s: &mut S, path: &str) -> (HttpResponse, bool) {
+        route(s, &HttpRequest::parse(&format!("GET {path} HTTP/1.1")).unwrap(), 0.0)
+    }
+
+    /// The scrape counters in `/metrics`, endpoint label → value.
+    fn scrape_counts<S: ScrapeSurface>(s: &S) -> BTreeMap<String, u64> {
+        let prefix = format!("{}{{endpoint=\"", S::SCRAPE_SERIES);
+        s.metrics_text()
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix.as_str()))
+            .map(|rest| {
+                let (ep, value) = rest.split_once("\"} ").expect("one label");
+                (ep.to_owned(), value.parse().expect("counter value"))
+            })
+            .collect()
+    }
+
+    /// Everything the router owns, checked on one surface.
+    fn check_router<S: ScrapeSurface>(s: &mut S) {
+        let surface = S::SCRAPE_SERIES;
+        for ep in endpoints::<S>() {
+            let path = if ep == "/query" { "/query?expr=sfi_shard_completed_total" } else { ep };
+            let (resp, stop) = get(s, path);
+            assert_eq!((resp.status, stop), (200, false), "{surface}: {ep}: {}", resp.body);
+            if resp.content_type == "application/json" && ep != "/trace" {
+                assert!(json_is_valid(&resp.body), "{surface}: {ep}: {}", resp.body);
+            }
+        }
+        for path in [
+            "/trace?since=12x",
+            "/trace?since=-1",
+            "/alerts?since=abc",
+            "/query",
+            "/query?expr=%ZZ",
+            "/query?expr=%Z1",
+            "/query?expr=rate(sfi_shard_completed_total[0r)",
+        ] {
+            let (resp, _) = get(s, path);
+            assert_eq!(resp.status, 400, "{surface}: {path} must 400: {}", resp.body);
+        }
+        let post = HttpRequest::parse("POST /metrics HTTP/1.1").unwrap();
+        assert_eq!(route(s, &post, 0.0).0.status, 405, "{surface}: POST");
+        assert_eq!(get(s, "/nope").0.status, 404, "{surface}: unknown path");
+
+        // A scrape of endpoint e moves exactly the e-labeled counter, and
+        // no counter reaches /snapshot.
+        for ep in endpoints::<S>() {
+            let before = scrape_counts(s);
+            assert_eq!(before.len(), endpoints::<S>().len(), "{surface}: one counter per endpoint");
+            get(s, ep);
+            let after = scrape_counts(s);
+            for (label, n) in &after {
+                let moved = n - before[label];
+                let expected = u64::from(label == &ep[1..]);
+                assert_eq!(moved, expected, "{surface}: scraping {ep} moved endpoint=\"{label}\"");
+            }
+        }
+        assert!(!s.snapshot_json().contains(surface), "{surface} leaked into /snapshot");
+
+        let (resp, stop) = get(s, "/quit");
+        assert_eq!((resp.status, stop), (200, true), "{surface}: /quit");
+    }
+
+    #[test]
+    fn one_router_serves_both_surfaces() {
+        use crate::qos::QosConfig;
+        let mut cfg = small_cfg();
+        cfg.engine.qos = Some(QosConfig::paper_rig());
+        let mut eng = ServeEngine::new(cfg);
+        eng.run_round();
+        check_router(&mut eng);
+
+        let mut fleet = crate::FleetSupervisor::new(crate::FleetConfig::paper_rig(1, 2));
+        fleet.run_round();
+        check_router(&mut fleet);
+    }
+
+    #[test]
+    fn query_escapes_control_characters_on_both_surfaces() {
+        // A selector label value holding a raw tab: the echoed `expr` must
+        // stay valid JSON on both surfaces.
+        let path = "/query?expr=sfi_shard_completed_total%7Bk%3D%22%09%22%7D";
+        let mut eng = ServeEngine::new(small_cfg());
+        eng.run_round();
+        let mut fleet = crate::FleetSupervisor::new(crate::FleetConfig::paper_rig(1, 2));
+        fleet.run_round();
+        let answers = [("engine", get(&mut eng, path)), ("fleet", get(&mut fleet, path))];
+        for (surface, (resp, _)) in answers {
+            assert_eq!(resp.status, 200, "{surface}: {}", resp.body);
+            assert!(json_is_valid(&resp.body), "{surface}: {:?}", resp.body);
+        }
     }
 }

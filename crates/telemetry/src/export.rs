@@ -76,8 +76,11 @@ fn with_label(key: &str, label: &str, value: &str) -> String {
     }
 }
 
-/// Escapes a string for embedding as a JSON string value.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding as a JSON string value: `"` and `\`
+/// backslash-escaped, `\n`/`\r`/`\t` by their short escapes, every other
+/// control character as `\u00XX`. The one JSON string escaper every
+/// serving body uses.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -59,7 +59,7 @@ pub use alert::{
 pub use clock::VirtualClock;
 pub use export::{
     chrome_trace, chrome_trace_gap_line, chrome_trace_line, chrome_trace_lines,
-    chrome_trace_wrap, json_is_valid, json_snapshot, prometheus_text,
+    chrome_trace_wrap, json_escape, json_is_valid, json_snapshot, prometheus_text,
 };
 pub use histogram::{CycleHistogram, HISTOGRAM_BUCKETS};
 pub use profile::{BucketExemplars, FoldedStacks};
@@ -69,8 +69,7 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, Registry, RegistryError, SampledCounterId,
 };
 pub use server::{
-    http_get, http_get_detailed, http_get_retry, http_get_retry_with_timeout,
-    http_get_with_timeout, percent_decode, retry_with, serve, Cursor, HttpRequest, HttpResponse,
-    RetryPolicy,
+    http_get, http_get_detailed, http_get_retry, percent_decode, retry_with, serve, Cursor,
+    HttpRequest, HttpResponse, RetryPolicy, IO_TIMEOUT,
 };
 pub use tsdb::{QueryExpr, SampleKind, Selector, Tsdb};

@@ -3,8 +3,9 @@
 //! Production metrics are scraped, not dumped: a Prometheus server polls
 //! `GET /metrics`, a trace viewer tails `GET /trace?since=<cursor>`. This
 //! module provides exactly the plumbing that takes — a request-line parser,
-//! a response writer, a blocking accept loop, and a matching one-shot
-//! client ([`http_get`]) for self-checks and loopback tests — with no
+//! a response writer, a blocking accept loop, and a matching client —
+//! [`http_get_detailed`] is the one request path, [`http_get`] and
+//! [`http_get_retry`] wrap it — for self-checks and loopback tests — with no
 //! third-party dependencies (the workspace is offline by policy).
 //!
 //! Scope is deliberately narrow: `GET` only, one request per connection
@@ -20,8 +21,9 @@ use std::time::Duration;
 
 /// How long a single request may take to arrive or drain before the
 /// connection is abandoned (defends the serve loop against a stalled
-/// peer; generous compared to any loopback scrape).
-const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// peer; generous compared to any loopback scrape). Also the client's
+/// default per-attempt deadline.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One parsed HTTP request line (the only part of a scrape request that
 /// carries information; headers are read and discarded).
@@ -61,14 +63,6 @@ impl HttpRequest {
         Some(HttpRequest { method, path: path.to_owned(), query })
     }
 
-    /// The first query parameter named `key`, parsed as `u64` (the shape
-    /// every cursor parameter uses). Conflates "absent" and "malformed"
-    /// into `None`; endpoints that must answer `400` on malformed cursors
-    /// use [`HttpRequest::cursor`] instead.
-    pub fn query_u64(&self, key: &str) -> Option<u64> {
-        self.query.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.parse().ok())
-    }
-
     /// The first query parameter named `key`, raw (undecoded).
     pub fn query_str(&self, key: &str) -> Option<&str> {
         self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
@@ -77,12 +71,11 @@ impl HttpRequest {
     /// Strict cursor parsing for `?since=`-style parameters: distinguishes
     /// an absent parameter (callers default to 0) from a present-but-
     /// malformed one (callers answer `400` instead of silently restarting
-    /// the stream from the beginning, which is what `unwrap_or(0)` over
-    /// [`HttpRequest::query_u64`] used to do).
+    /// the stream from the beginning).
     pub fn cursor(&self, key: &str) -> Cursor {
-        match self.query.iter().find(|(k, _)| k == key) {
+        match self.query_str(key) {
             None => Cursor::Absent,
-            Some((_, v)) => match v.parse() {
+            Some(v) => match v.parse() {
                 Ok(n) => Cursor::At(n),
                 Err(_) => Cursor::Malformed,
             },
@@ -260,49 +253,19 @@ pub fn serve<H: FnMut(&HttpRequest) -> (HttpResponse, bool)>(
     Ok(())
 }
 
-/// A one-shot HTTP/1.1 GET against `addr` (e.g. `127.0.0.1:9100`):
-/// the scrape client used by `faas_serve --check`, the loopback tests and
-/// the CI smoke step (curl-equivalent, but offline-policy clean). Returns
-/// `(status, body)`.
+/// A one-shot HTTP/1.1 GET against `addr` (e.g. `127.0.0.1:9100`) with
+/// the default [`IO_TIMEOUT`]: the scrape client used by `faas_serve
+/// --check` and the loopback tests (curl-equivalent, but offline-policy
+/// clean). Returns `(status, body)`.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    http_get_with_timeout(addr, path, IO_TIMEOUT)
+    http_get_detailed(addr, path, IO_TIMEOUT).map(|(status, _, body)| (status, body))
 }
 
-/// [`http_get`] with an explicit IO deadline instead of the default:
-/// `timeout` bounds the connect, each write, and each read. A server that
-/// accepts and then hangs (the `HangOnAccept` chaos mode) surfaces as a
-/// timeout error within the deadline instead of wedging the caller —
-/// which is what lets CI scrape steps run un-supervised.
-pub fn http_get_with_timeout(
-    addr: &str,
-    path: &str,
-    timeout: Duration,
-) -> std::io::Result<(u16, String)> {
-    use std::net::ToSocketAddrs;
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no header break"))?;
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, body.to_owned()))
-}
-
-/// [`http_get_with_timeout`], but returning the response's `Content-Type`
-/// header alongside status and body: `(status, content_type, body)`. The
+/// The one client request: a GET whose `timeout` bounds the connect, each
+/// write, and each read, returning `(status, content_type, body)`. A
+/// server that accepts and then hangs (the `HangOnAccept` chaos mode)
+/// surfaces as a timeout error within the deadline instead of wedging the
+/// caller — which is what lets CI scrape steps run un-supervised. The
 /// per-endpoint content-type contract (`text/plain; version=0.0.4` for
 /// `/metrics`, `application/json` for the JSON surfaces) is part of the
 /// serving API, and loopback tests assert it through this client.
@@ -408,24 +371,16 @@ pub fn retry_with<T, E>(
     Err(last_err.expect("at least one attempt"))
 }
 
-/// [`http_get`] under a [`RetryPolicy`]: retries refused connections and
-/// timeouts with real (wall-clock) backoff sleeps. Returns
-/// `(status, body, attempts)` — the attempt count feeds the scrape-meta
-/// registry so a flaky member is visible in `/metrics`, not just in logs.
-/// Non-200 statuses are *returned*, not retried: the server answered, and
-/// whether e.g. a 503 warrants another round is the caller's policy.
+/// [`http_get_detailed`] under a [`RetryPolicy`]: retries refused
+/// connections and timeouts with real (wall-clock) backoff sleeps, each
+/// attempt bounded by `timeout`, so the whole scrape is bounded by
+/// `max_attempts × timeout` plus the backoff sum and a hung server cannot
+/// wedge the client past its budget. Returns `(status, body, attempts)` —
+/// the attempt count feeds the scrape-meta registry so a flaky member is
+/// visible in `/metrics`, not just in logs. Non-200 statuses are
+/// *returned*, not retried: the server answered, and whether e.g. a 503
+/// warrants another round is the caller's policy.
 pub fn http_get_retry(
-    addr: &str,
-    path: &str,
-    policy: &RetryPolicy,
-) -> std::io::Result<(u16, String, u32)> {
-    http_get_retry_with_timeout(addr, path, policy, IO_TIMEOUT)
-}
-
-/// [`http_get_retry`] with an explicit per-attempt IO deadline: the whole
-/// scrape is bounded by `max_attempts × timeout` plus the backoff sum, so
-/// a hung server cannot wedge the client past its budget.
-pub fn http_get_retry_with_timeout(
     addr: &str,
     path: &str,
     policy: &RetryPolicy,
@@ -434,9 +389,9 @@ pub fn http_get_retry_with_timeout(
     retry_with(
         policy,
         |ms| std::thread::sleep(Duration::from_millis(ms)),
-        |_| http_get_with_timeout(addr, path, timeout),
+        |_| http_get_detailed(addr, path, timeout),
     )
-    .map(|((status, body), attempts)| (status, body, attempts))
+    .map(|((status, _, body), attempts)| (status, body, attempts))
 }
 
 #[cfg(test)]
@@ -449,18 +404,20 @@ mod tests {
         let r = HttpRequest::parse("GET /trace?since=42&limit=7 HTTP/1.1\r\n").unwrap();
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/trace");
-        assert_eq!(r.query_u64("since"), Some(42));
-        assert_eq!(r.query_u64("limit"), Some(7));
-        assert_eq!(r.query_u64("missing"), None);
+        assert_eq!(r.cursor("since"), Cursor::At(42));
+        assert_eq!(r.cursor("limit"), Cursor::At(7));
+        assert_eq!(r.cursor("missing"), Cursor::Absent);
 
         let plain = HttpRequest::parse("GET /metrics HTTP/1.0").unwrap();
         assert_eq!(plain.path, "/metrics");
         assert!(plain.query.is_empty());
 
-        // Valueless and empty params are tolerated, non-numeric cursors are None.
+        // Valueless and empty params are tolerated, non-numeric cursors
+        // are malformed.
         let odd = HttpRequest::parse("GET /trace?flag&since=x& HTTP/1.1").unwrap();
         assert_eq!(odd.query.len(), 2);
-        assert_eq!(odd.query_u64("since"), None);
+        assert_eq!(odd.query_str("flag"), Some(""));
+        assert_eq!(odd.cursor("since"), Cursor::Malformed);
 
         for bad in ["", "GET", "GET /x", "PUT noslash HTTP/1.1", "GET /x SPDY/3"] {
             assert!(HttpRequest::parse(bad).is_none(), "{bad:?} accepted");
@@ -540,7 +497,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(500));
         });
         let t0 = std::time::Instant::now();
-        let err = http_get_with_timeout(&addr, "/metrics", Duration::from_millis(50))
+        let err = http_get_detailed(&addr, "/metrics", Duration::from_millis(50))
             .expect_err("hung server must not yield a response");
         assert!(
             matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
@@ -618,7 +575,7 @@ mod tests {
             })
         };
         let policy = RetryPolicy { max_attempts: 10, backoff_base_ms: 30, backoff_cap_ms: 200 };
-        let (status, body, attempts) = http_get_retry(&addr, "/", &policy).unwrap();
+        let (status, body, attempts) = http_get_retry(&addr, "/", &policy, IO_TIMEOUT).unwrap();
         assert_eq!((status, body.as_str()), (200, "late\n"));
         assert!(attempts >= 1, "attempt count is 1-based");
         rebind.join().unwrap();
@@ -628,7 +585,7 @@ mod tests {
         let gone_addr = gone.local_addr().unwrap().to_string();
         drop(gone);
         let tiny = RetryPolicy { max_attempts: 2, backoff_base_ms: 1, backoff_cap_ms: 1 };
-        assert!(http_get_retry(&gone_addr, "/", &tiny).is_err());
+        assert!(http_get_retry(&gone_addr, "/", &tiny, IO_TIMEOUT).is_err());
     }
 
     #[test]
@@ -640,8 +597,6 @@ mod tests {
             let r = HttpRequest::parse(&format!("GET /trace?{bad} HTTP/1.1")).unwrap();
             assert_eq!(r.cursor("since"), Cursor::Malformed, "{bad}");
         }
-        // query_u64 keeps its lenient legacy shape for non-cursor callers.
-        assert_eq!(r.query_u64("since"), Some(42));
     }
 
     #[test]
@@ -663,16 +618,15 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             serve(&listener, |req| match req.path.as_str() {
-                "/metrics" => (HttpResponse::prometheus("m 1\n".to_owned()), false),
-                "/alerts" => (HttpResponse::json("{}".to_owned()), false),
+                "/prom" => (HttpResponse::prometheus("m 1\n".to_owned()), false),
+                "/json" => (HttpResponse::json("{}".to_owned()), false),
                 _ => (HttpResponse::not_found(), true),
             })
             .unwrap();
         });
-        let (status, ct, body) =
-            http_get_detailed(&addr, "/metrics", Duration::from_secs(5)).unwrap();
+        let (status, ct, body) = http_get_detailed(&addr, "/prom", Duration::from_secs(5)).unwrap();
         assert_eq!((status, ct.as_str(), body.as_str()), (200, "text/plain; version=0.0.4", "m 1\n"));
-        let (status, ct, _) = http_get_detailed(&addr, "/alerts", Duration::from_secs(5)).unwrap();
+        let (status, ct, _) = http_get_detailed(&addr, "/json", Duration::from_secs(5)).unwrap();
         assert_eq!((status, ct.as_str()), (200, "application/json"));
         let (status, ct, _) = http_get_detailed(&addr, "/quit", Duration::from_secs(5)).unwrap();
         assert_eq!((status, ct.as_str()), (404, "text/plain"));

@@ -10,6 +10,11 @@ cargo build --release --offline
 echo "== tests (workspace) =="
 cargo test -q --offline --workspace
 
+echo "== hostbench: builds against the workspace crates, oracle proofs with seeded violations =="
+# hostbench path-depends on crates/* but is its own workspace: without this
+# step an API change that breaks the benchmark would pass CI.
+cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
 echo "== full-corpus differential (release, includes cache path + both tiers) =="
 cargo test -q --offline --release --test corpus_differential -- --include-ignored
 

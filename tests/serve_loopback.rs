@@ -2,23 +2,19 @@
 //! port (DESIGN.md §8).
 //!
 //! Starts the exact server the `faas_serve` binary runs —
-//! [`serve_blocking`] over a shared [`ServeEngine`] — drives engine rounds,
+//! [`serve_background`] over a [`ServeEngine`] — drives engine rounds,
 //! and scrapes it over real TCP: `/metrics` twice (observer effect must be
 //! confined to the scrape-meta series), `/trace?since=<cursor>`
 //! incrementally (the drained stream must concatenate byte-identically to
 //! the post-mortem batch export), `/snapshot` (byte-equal to a server-off
 //! replay), `/healthz`, and `/quit` for clean shutdown.
 
-use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
 use segue_colorguard::faas::{
-    fleet_serve_blocking, serve_blocking, FailureModel, FleetConfig, FleetSupervisor,
-    ServeConfig, ServeEngine,
+    serve_background, FailureModel, FleetConfig, FleetSupervisor, ScrapeSurface, ServeConfig,
+    ServeEngine,
 };
 use segue_colorguard::telemetry::{
-    chrome_trace_wrap, http_get, http_get_retry, json_is_valid, Registry, RetryPolicy,
+    chrome_trace_wrap, http_get, http_get_retry, json_is_valid, Registry, RetryPolicy, IO_TIMEOUT,
 };
 use segue_colorguard::vm::{EngineFault, FaultPlan};
 
@@ -42,21 +38,14 @@ fn loopback_scrapes_match_postmortem_exports() {
     let offline_trace = offline.trace_batch();
 
     // Live server on an ephemeral loopback port.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let engine = Arc::new(Mutex::new(ServeEngine::new(small_cfg())));
-    let server = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || {
-            serve_blocking(&listener, &engine, Instant::now()).expect("serve loop")
-        })
-    };
+    let served = serve_background(0, ServeEngine::new(small_cfg())).expect("bind");
+    let addr = served.addr.clone();
 
     // Drive rounds, draining /trace incrementally after each.
     let mut cursor = 0u64;
     let mut streamed: Vec<String> = Vec::new();
     for _ in 0..ROUNDS {
-        engine.lock().unwrap().run_round();
+        served.lock().run_round();
         let (status, body) = http_get(&addr, &format!("/trace?since={cursor}")).expect("trace");
         assert_eq!(status, 200);
         let mut lines = body.lines();
@@ -88,7 +77,7 @@ fn loopback_scrapes_match_postmortem_exports() {
     // The incremental drains re-wrap to the byte-identical batch export,
     // which in turn equals the server-off replay.
     let rewrapped = chrome_trace_wrap(&streamed);
-    assert_eq!(rewrapped, engine.lock().unwrap().trace_batch());
+    assert_eq!(rewrapped, served.lock().trace_batch());
     assert_eq!(rewrapped, offline_trace);
 
     // /snapshot is modeled-only and byte-equal to the offline replay.
@@ -108,7 +97,7 @@ fn loopback_scrapes_match_postmortem_exports() {
     assert_eq!(nf, 404);
     let (qs, _) = http_get(&addr, "/quit").expect("quit");
     assert_eq!(qs, 200);
-    server.join().expect("server thread exits after /quit");
+    served.join();
 }
 
 #[test]
@@ -118,20 +107,13 @@ fn wrapped_trace_stream_flags_the_gap_and_stays_valid() {
     // must still re-wrap to valid chrome-trace JSON with the gap flagged.
     let mut cfg = small_cfg();
     cfg.stream_capacity = 32;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let engine = Arc::new(Mutex::new(ServeEngine::new(cfg)));
-    let server = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || {
-            serve_blocking(&listener, &engine, Instant::now()).expect("serve loop")
-        })
-    };
+    let served = serve_background(0, ServeEngine::new(cfg)).expect("bind");
+    let addr = served.addr.clone();
     for _ in 0..2 {
-        engine.lock().unwrap().run_round();
+        served.lock().run_round();
     }
     {
-        let eng = engine.lock().unwrap();
+        let eng = served.lock();
         assert!(
             eng.stream().total_recorded() > 32 + 32,
             "rounds must overflow the ring decisively (got {})",
@@ -161,7 +143,7 @@ fn wrapped_trace_stream_flags_the_gap_and_stays_valid() {
     assert!(head.contains(&format!("\"lines\": {}", streamed.len())), "{head}");
     let (qs, _) = http_get(&addr, "/quit").expect("quit");
     assert_eq!(qs, 200);
-    server.join().expect("server thread exits after /quit");
+    served.join();
 }
 
 #[test]
@@ -171,17 +153,10 @@ fn saturated_dead_letters_serve_a_floored_healthz() {
     // 0.0 availability — a parseable number, not NaN and not a panic.
     let mut cfg = small_cfg();
     cfg.probe.failures = FailureModel { trap_prob: 1.0, max_retries: 0, ..Default::default() };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let engine = Arc::new(Mutex::new(ServeEngine::new(cfg)));
-    let server = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || {
-            serve_blocking(&listener, &engine, Instant::now()).expect("serve loop")
-        })
-    };
+    let served = serve_background(0, ServeEngine::new(cfg)).expect("bind");
+    let addr = served.addr.clone();
     for _ in 0..2 {
-        engine.lock().unwrap().run_round();
+        served.lock().run_round();
     }
     let (status, health) = http_get(&addr, "/healthz").expect("healthz");
     assert_eq!(status, 200, "a saturated engine still answers");
@@ -198,7 +173,7 @@ fn saturated_dead_letters_serve_a_floored_healthz() {
     assert!(dead > 0, "saturation must dead-letter: {health}");
     let (qs, _) = http_get(&addr, "/quit").expect("quit");
     assert_eq!(qs, 200);
-    server.join().expect("server thread exits after /quit");
+    served.join();
 }
 
 #[test]
@@ -213,26 +188,20 @@ fn fleet_loopback_serves_the_federated_surface() {
     }
     cfg.chaos = FaultPlan::new().engine_fail_at(0, 1, EngineFault::MidRoundPanic);
     let member_cfgs: Vec<ServeConfig> = cfg.members.clone();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let fleet = Arc::new(Mutex::new(FleetSupervisor::new(cfg)));
-    let server = {
-        let fleet = Arc::clone(&fleet);
-        std::thread::spawn(move || {
-            fleet_serve_blocking(&listener, &fleet, Instant::now()).expect("fleet serve")
-        })
-    };
+    let served = serve_background(0, FleetSupervisor::new(cfg)).expect("bind");
+    let addr = served.addr.clone();
     const ROUNDS: u64 = 3;
     for _ in 0..ROUNDS {
-        fleet.lock().unwrap_or_else(|p| p.into_inner()).run_round();
+        served.lock().run_round();
     }
     let policy = RetryPolicy::default();
-    let (fs, fleet_body, _) = http_get_retry(&addr, "/fleet", &policy).expect("fleet");
+    let get = |path: &str| http_get_retry(&addr, path, &policy, IO_TIMEOUT).expect(path);
+    let (fs, fleet_body, _) = get("/fleet");
     assert_eq!(fs, 200);
     assert!(json_is_valid(&fleet_body), "{fleet_body}");
     assert!(fleet_body.contains("\"restarts\": 1"), "the kill must recover: {fleet_body}");
     assert!(fleet_body.contains("\"members_live\": 2"), "{fleet_body}");
-    let (ss, snapshot, _) = http_get_retry(&addr, "/snapshot", &policy).expect("snapshot");
+    let (ss, snapshot, _) = get("/snapshot");
     assert_eq!(ss, 200);
     let mut manual = Registry::new();
     for (id, mcfg) in member_cfgs.iter().enumerate() {
@@ -247,11 +216,11 @@ fn fleet_loopback_serves_the_federated_surface() {
         segue_colorguard::telemetry::json_snapshot(&manual),
         "federated snapshot != labeled sum of uninterrupted member replays"
     );
-    let (ms, metrics, _) = http_get_retry(&addr, "/metrics", &policy).expect("metrics");
+    let (ms, metrics, _) = get("/metrics");
     assert_eq!(ms, 200);
     assert!(metrics.contains("engine=\"0\"") && metrics.contains("engine=\"1\""), "{metrics}");
     assert!(metrics.contains("sfi_fleet_member_faults_total{kind=\"mid_round_panic\"} 1"));
-    let (qs, _, _) = http_get_retry(&addr, "/quit", &policy).expect("quit");
+    let (qs, _, _) = get("/quit");
     assert_eq!(qs, 200);
-    server.join().expect("server thread exits after /quit");
+    served.join();
 }
