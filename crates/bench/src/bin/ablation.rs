@@ -15,7 +15,7 @@ fn main() {
     // ---- 1. density vs available keys ----
     println!("Ablation 1: instances per 47-bit address space vs available MPK keys\n");
     let widths = [6, 12, 10];
-    row(&["keys".into(), "slots".into(), "vs none".into()], &widths);
+    row(&["keys", "slots", "vs none"], &widths);
     let base = compute_layout(&PoolConfig::scaling_benchmark(0)).expect("layout").num_slots;
     for keys in [0u8, 2, 4, 8, 15] {
         let l = compute_layout(&PoolConfig::scaling_benchmark(keys)).expect("layout");
@@ -31,7 +31,7 @@ fn main() {
 
     // ---- 2. guard size vs density (no striping) ----
     println!("\nAblation 2: guard size vs density (4 GiB reservations, no MPK)\n");
-    row(&["guard".into(), "slots".into(), "".into()], &widths);
+    row(&["guard", "slots", ""], &widths);
     for guard_gib in [1u64, 2, 4, 6, 8] {
         let cfg = PoolConfig {
             guard_bytes: guard_gib << 30,
@@ -51,16 +51,13 @@ fn main() {
         .find(|w| w.name == "memmove")
         .expect("corpus has memmove");
     let widths = [14, 16, 16];
-    row(&["strategy".into(), "vectorizer off".into(), "vectorizer on".into()], &widths);
+    row(&["strategy", "vectorizer off", "vectorizer on"], &widths);
     for s in [Strategy::GuardRegion, Strategy::SegueLoads, Strategy::Segue] {
         let n_off = measure(&w, Strategy::Native, false).cycles;
         let n_on = measure(&w, Strategy::Native, true).cycles;
         let off = measure(&w, s, false).cycles / n_off * 100.0;
         let on = measure(&w, s, true).cycles / n_on * 100.0;
-        row(
-            &[s.to_string(), format!("{off:.1}%"), format!("{on:.1}%")],
-            &widths,
-        );
+        row(&[s.to_string(), format!("{off:.1}%"), format!("{on:.1}%")], &widths);
     }
     println!("\n(full Segue loses its advantage exactly when the vectorizer is on —");
     println!(" the §4.2 interaction; loads-only keeps both optimizations)");

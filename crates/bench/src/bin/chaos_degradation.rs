@@ -23,16 +23,7 @@ fn table(label: &str, mode: ScalingMode) {
     println!("{label}\n");
     let widths = [8, 12, 12, 10, 8, 8, 8, 12];
     row(
-        &[
-            "trap".into(),
-            "thr (rps)".into(),
-            "goodput".into(),
-            "avail".into(),
-            "faults".into(),
-            "retries".into(),
-            "dead".into(),
-            "vs clean".into(),
-        ],
+        &["trap", "thr (rps)", "goodput", "avail", "faults", "retries", "dead", "vs clean"],
         &widths,
     );
 

@@ -36,18 +36,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sfi_bench::arg_after;
+use sfi_bench::{arg_after, check_overhead, OVERHEAD_BUDGET};
 use sfi_faas::{endpoints, serve_background, ScrapeSurface, ServeConfig, ServeEngine};
 use sfi_telemetry::{
     chrome_trace_wrap, http_get, http_get_retry, json_is_valid, RetryPolicy, IO_TIMEOUT,
 };
-
-/// Documented scrape-under-load budget (DESIGN.md §8): driving the engine
-/// with a scraper attached may cost at most this factor over driving it
-/// dark, best-of-3 wall clock.
-const OVERHEAD_BUDGET: f64 = 1.35;
 
 /// Rounds per timed check pass (short rounds: ServeConfig::paper_rig).
 const CHECK_ROUNDS: u64 = 3;
@@ -105,9 +100,8 @@ fn main() {
 
 /// Drives `rounds` engine rounds; when `addr` is given, scrapes every
 /// endpoint in the table between rounds — the "under load" configuration
-/// of the overhead gate. Returns elapsed wall time.
-fn drive(engine: &Mutex<ServeEngine>, rounds: u64, addr: Option<&str>) -> Duration {
-    let t0 = Instant::now();
+/// of the overhead gate.
+fn drive(engine: &Mutex<ServeEngine>, rounds: u64, addr: Option<&str>) {
     for _ in 0..rounds {
         engine.lock().expect("engine lock").run_round();
         if let Some(a) = addr {
@@ -117,7 +111,6 @@ fn drive(engine: &Mutex<ServeEngine>, rounds: u64, addr: Option<&str>) -> Durati
             }
         }
     }
-    t0.elapsed()
 }
 
 fn check() {
@@ -190,27 +183,16 @@ fn check() {
     assert!(snapshot.contains("sfi_shard_request_latency_ns"), "latency histograms present");
     assert!(snapshot.contains("\"p99\""), "histogram quantiles present");
 
-    // 4. Scrape-under-load overhead: best-of-3, scraped vs dark rounds.
-    let dark = (0..3)
-        .map(|_| drive(&Mutex::new(ServeEngine::new(cfg.clone())), CHECK_ROUNDS, None))
-        .min()
-        .expect("timed runs");
-    let scraped = (0..3)
-        .map(|_| {
-            let eng = Mutex::new(ServeEngine::new(cfg.clone()));
-            drive(&eng, CHECK_ROUNDS, Some(&addr))
-        })
-        .min()
-        .expect("timed runs");
-    // The scraped runs above hit the live server (fixed state) while
-    // driving a local engine: the cost measured is the full scrape set per
-    // round — client, server lock, render — landing on the driver's clock.
-    let factor = scraped.as_secs_f64() / dark.as_secs_f64().max(1e-9);
-    assert!(
-        factor <= OVERHEAD_BUDGET,
-        "scrape-under-load overhead {factor:.2}x exceeds {OVERHEAD_BUDGET:.2}x \
-         (scraped {scraped:?} vs dark {dark:?})"
-    );
+    // 4. Scrape-under-load overhead: best-of-3, scraped vs dark rounds
+    // (DESIGN.md §8 budget). The scraped runs hit the live server (fixed
+    // state) while driving a local engine: the cost measured is the full
+    // scrape set per round — client, server lock, render — landing on the
+    // driving thread's clock.
+    let factor = check_overhead("scrape-under-load overhead", |scraped| {
+        let eng = Mutex::new(ServeEngine::new(cfg.clone()));
+        let addr = scraped.then_some(addr.as_str());
+        move || drive(&eng, CHECK_ROUNDS, addr)
+    });
 
     // 5. Clean shutdown via /quit.
     let (qs, _) = http_get(&addr, "/quit").expect("quit");

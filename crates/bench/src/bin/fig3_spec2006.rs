@@ -6,22 +6,14 @@
 //! (the paper reports 44.7% on this suite, with 429_mcf faster than native
 //! and 473_astar slightly slower under Segue).
 
-use sfi_bench::{geomean, measure, row};
+use sfi_bench::{measure, row};
 use sfi_core::Strategy;
+use sfi_faas::stats::geomean;
 
 fn main() {
     println!("Figure 3: SPEC CPU 2006 on Wasm2c (normalized runtime, native = 100%)\n");
     let widths = [16, 10, 12, 12, 10];
-    row(
-        &[
-            "benchmark".into(),
-            "native".into(),
-            "wasm2c".into(),
-            "wasm2c+segue".into(),
-            "Δsegue".into(),
-        ],
-        &widths,
-    );
+    row(&["benchmark", "native", "wasm2c", "wasm2c+segue", "Δsegue"], &widths);
 
     let mut base_norm = Vec::new();
     let mut segue_norm = Vec::new();

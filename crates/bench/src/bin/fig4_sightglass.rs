@@ -13,16 +13,7 @@ use sfi_core::Strategy;
 fn main() {
     println!("Figure 4: Sightglass on WAMR (normalized runtime, native = 100%, vectorizer on)\n");
     let widths = [12, 10, 12, 16, 18];
-    row(
-        &[
-            "benchmark".into(),
-            "wamr".into(),
-            "wamr+segue".into(),
-            "segue-on-loads".into(),
-            "segue vs wamr".into(),
-        ],
-        &widths,
-    );
+    row(&["benchmark", "wamr", "wamr+segue", "segue-on-loads", "segue vs wamr"], &widths);
     for w in sfi_workloads::sightglass() {
         let native = measure(&w, Strategy::Native, true);
         let guard = measure(&w, Strategy::GuardRegion, true);

@@ -5,17 +5,15 @@
 //! 46% of the overhead — while the control-flow pinning (which cannot use
 //! segment registers, §4.3) stays.
 
-use sfi_bench::{compile_workload, geomean, row};
+use sfi_bench::{compile_workload, row};
 use sfi_core::Strategy;
+use sfi_faas::stats::geomean;
 use sfi_lfi::{execute_rewritten, LfiConfig};
 
 fn main() {
     println!("Figure 5: SPEC CPU 2017 on LFI (normalized runtime, native = 100%)\n");
     let widths = [18, 10, 10, 12, 10];
-    row(
-        &["benchmark".into(), "native".into(), "lfi".into(), "lfi+segue".into(), "Δsegue".into()],
-        &widths,
-    );
+    row(&["benchmark", "native", "lfi", "lfi+segue", "Δsegue"], &widths);
 
     let mut base_norm = Vec::new();
     let mut segue_norm = Vec::new();

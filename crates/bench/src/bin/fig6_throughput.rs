@@ -6,22 +6,16 @@
 //! section — the per-run metrics registries (labeled by workload and mode)
 //! merged into one snapshot, the same shape `figX_multicore` embeds.
 
-use sfi_bench::row;
+use sfi_bench::{row, Artifact, Json, Obj};
 use sfi_faas::{sim_registry, simulate, FaasWorkload, ScalingMode, SimConfig};
 use sfi_telemetry::{json_snapshot, Registry};
 
 fn main() {
     println!("Figure 6: ColorGuard throughput gain vs multi-process scaling (single core)\n");
     let widths = [6, 18, 18, 18];
-    row(
-        &[
-            "procs".into(),
-            FaasWorkload::HashLoadBalance.name().into(),
-            FaasWorkload::RegexFilter.name().into(),
-            FaasWorkload::HtmlTemplate.name().into(),
-        ],
-        &widths,
-    );
+    let mut header = vec!["procs"];
+    header.extend(FaasWorkload::ALL.iter().map(|w| w.name()));
+    row(&header, &widths);
 
     let mut telemetry = Registry::new();
 
@@ -37,21 +31,21 @@ fn main() {
         })
         .collect();
 
-    let mut rows_json: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
     for k in 1..=15u32 {
         let mut cells = vec![format!("{k}")];
         for (i, &w) in FaasWorkload::ALL.iter().enumerate() {
             let mp = simulate(&SimConfig::paper_rig(w, ScalingMode::MultiProcess { processes: k }));
             let gain = (cg[i] - mp.throughput_rps) / mp.throughput_rps * 100.0;
             cells.push(format!("{gain:+.1}%"));
-            rows_json.push(format!(
-                "    {{\"workload\": \"{}\", \"processes\": {k}, \
-                 \"multiprocess_rps\": {:.3}, \"colorguard_rps\": {:.3}, \
-                 \"gain_percent\": {gain:.3}}}",
-                w.name(),
-                mp.throughput_rps,
-                cg[i],
-            ));
+            rows.push(
+                Obj::new()
+                    .with("workload", w.name())
+                    .with("processes", k)
+                    .float("multiprocess_rps", mp.throughput_rps, 3)
+                    .float("colorguard_rps", cg[i], 3)
+                    .float("gain_percent", gain, 3),
+            );
             if k == 15 {
                 telemetry.merge_from(&sim_registry(
                     &mp,
@@ -62,13 +56,12 @@ fn main() {
         row(&cells, &widths);
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"fig6_throughput\",\n  \"rows\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
-        rows_json.join(",\n"),
-        json_snapshot(&telemetry)
-    );
-    std::fs::write("BENCH_fig6.json", &json).expect("write BENCH_fig6.json");
-    println!("\nwrote BENCH_fig6.json");
+    println!();
+    Artifact::new(
+        "fig6_throughput",
+        Obj::new().with("rows", rows).with("telemetry", Json::raw(json_snapshot(&telemetry))),
+    )
+    .write("BENCH_fig6.json");
     println!("(paper: gain grows with process count, up to ≈29% at 15 processes,\n\
               with all three workloads within a few percent of each other)");
 }

@@ -9,38 +9,32 @@
 //! (per-run registries labeled by mode and process count, merged — the
 //! same shape `figX_multicore` embeds).
 
-use sfi_bench::row;
+use sfi_bench::{row, Artifact, Json, Obj};
 use sfi_faas::{sim_registry, simulate, FaasWorkload, ScalingMode, SimConfig};
 use sfi_telemetry::{json_snapshot, Registry};
 
 fn main() {
     println!("Figure 7: context switches and dTLB misses vs process count\n");
     let widths = [6, 14, 14, 16, 16];
-    row(
-        &[
-            "procs".into(),
-            "mp ctx (K)".into(),
-            "cg ctx (K)".into(),
-            "mp dTLB (M)".into(),
-            "cg dTLB (M)".into(),
-        ],
-        &widths,
-    );
+    row(&["procs", "mp ctx (K)", "cg ctx (K)", "mp dTLB (M)", "cg dTLB (M)"], &widths);
     let w = FaasWorkload::RegexFilter;
     let cg = simulate(&SimConfig::paper_rig(w, ScalingMode::ColorGuard));
     let mut telemetry = Registry::new();
     telemetry.merge_from(&sim_registry(&cg, &[("mode", "colorguard")]));
-    let mut rows_json: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
     for k in [1u32, 2, 4, 6, 8, 10, 12, 15] {
         let mp = simulate(&SimConfig::paper_rig(w, ScalingMode::MultiProcess { processes: k }));
         let procs = k.to_string();
         telemetry
             .merge_from(&sim_registry(&mp, &[("mode", "multiprocess"), ("processes", &procs)]));
-        rows_json.push(format!(
-            "    {{\"processes\": {k}, \"mp_ctx_switches\": {}, \"cg_ctx_switches\": {}, \
-             \"mp_dtlb_misses\": {}, \"cg_dtlb_misses\": {}}}",
-            mp.context_switches, cg.context_switches, mp.dtlb_misses, cg.dtlb_misses,
-        ));
+        rows.push(
+            Obj::new()
+                .with("processes", k)
+                .with("mp_ctx_switches", mp.context_switches)
+                .with("cg_ctx_switches", cg.context_switches)
+                .with("mp_dtlb_misses", mp.dtlb_misses)
+                .with("cg_dtlb_misses", cg.dtlb_misses),
+        );
         row(
             &[
                 format!("{k}"),
@@ -52,14 +46,14 @@ fn main() {
             &widths,
         );
     }
-    let json = format!(
-        "{{\n  \"bench\": \"fig7_ctx_dtlb\",\n  \"workload\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"telemetry\": {}\n}}\n",
-        w.name(),
-        rows_json.join(",\n"),
-        json_snapshot(&telemetry)
-    );
-    std::fs::write("BENCH_fig7.json", &json).expect("write BENCH_fig7.json");
+    Artifact::new(
+        "fig7_ctx_dtlb",
+        Obj::new()
+            .with("workload", w.name())
+            .with("rows", rows)
+            .with("telemetry", Json::raw(json_snapshot(&telemetry))),
+    )
+    .write("BENCH_fig7.json");
 
     println!("\nAll three workloads behave alike; per-workload numbers at 15 processes:");
     for wl in FaasWorkload::ALL {
@@ -74,7 +68,6 @@ fn main() {
             cg.dtlb_misses as f64 / 1e6,
         );
     }
-    println!("\nwrote BENCH_fig7.json");
     println!("(paper: multiprocess grows to ~700K switches / tens of millions of dTLB\n\
               misses while ColorGuard stays flat)");
 }

@@ -18,16 +18,15 @@
 //!    checkpoint, and the whole artifact reproduces byte-identically.
 //! 4. **Bounded self-overhead** — driving the same overloaded fleet with
 //!    alerting on costs at most [`OVERHEAD_BUDGET`]× the alerting-off run
-//!    (best of [`OVERHEAD_REPS`] each).
+//!    (best of 3 each, [`sfi_bench::check_overhead`]).
 
-use std::time::Instant;
-
+use sfi_bench::{check_overhead, silence_injected_panics, Artifact, Json, Obj, OVERHEAD_BUDGET};
 use sfi_faas::{
     ArrivalModel, FleetAlertPolicy, FleetConfig, FleetSupervisor, QosConfig, RetireReason,
     ScrapeSurface, ServeConfig, ServeEngine, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
 };
 use sfi_pool::QuarantinePolicy;
-use sfi_telemetry::{json_is_valid, AlertEvent, AlertTransition, RetryPolicy};
+use sfi_telemetry::{AlertEvent, AlertTransition, RetryPolicy};
 use sfi_vm::{EngineFault, FaultPlan};
 
 const CORES: u32 = 2;
@@ -36,9 +35,6 @@ const INCIDENT_ROUNDS: u64 = 6;
 /// Rounds an injected incident may take to reach `firing` (incidents start
 /// at round 0, so this is also the firing round's ceiling).
 const DETECT_BUDGET: u64 = 6;
-/// Alerting-on over alerting-off wall-time budget.
-const OVERHEAD_BUDGET: f64 = 1.35;
-const OVERHEAD_REPS: usize = 3;
 /// Burn threshold tuned under the 10 ms-round ceiling: modeled p999 never
 /// exceeds the round duration, so burn tops out near 200 permille of the
 /// 50 ms latency-sensitive target. Clean 20 krps seeds peak at 106 in any
@@ -103,26 +99,34 @@ fn first_firing(events: &[&AlertEvent], rule: &str) -> Option<u64> {
         .map(|e| e.round)
 }
 
-fn opt_json(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_owned(), |n| n.to_string())
+/// The typed results of every deterministic scenario: the gates read
+/// these, and [`Outcome::artifact`] renders `BENCH_alerts.json`.
+#[derive(Debug)]
+struct Outcome {
+    /// Per clean seed: (alert transitions logged, alerts firing at the end).
+    clean: [(u64, usize); 2],
+    /// First firing round of each incident's rule.
+    shed_detect: Option<u64>,
+    burn_detect: Option<u64>,
+    storm_detect: Option<u64>,
+    /// Live members after the burn incident (the scale-out action).
+    burn_members_live: usize,
+    /// Members quarantined by the storm (the quarantine action).
+    storm_quarantined: usize,
+    /// The fleet-burn timeline replayed through a rerun / a kill recovery.
+    rerun_ok: bool,
+    kill_ok: bool,
+    /// The fleet-burn alert timeline (`/alerts` body), embedded raw.
+    timeline: String,
 }
 
-/// Runs every deterministic scenario and renders `BENCH_alerts.json`.
-/// Returns `(json, fleet-burn timeline)`; the timeline is the rerun /
-/// kill-recovery byte-equality unit.
-fn build() -> (String, String) {
-    let mut scenarios: Vec<String> = Vec::new();
-
+/// Runs every deterministic scenario.
+fn build() -> Outcome {
     // 1. Clean seeds: no transitions of any kind allowed.
-    for (i, salt) in [0xC1EA_0001u64, 0xC1EA_0002].iter().enumerate() {
-        let fleet = run_fleet(alerting_fleet(2, 20_000.0, *salt), CLEAN_ROUNDS);
-        scenarios.push(format!(
-            "{{\"scenario\": \"clean_{i}\", \"rounds\": {CLEAN_ROUNDS}, \"transitions\": {}, \
-             \"firing\": {}}}",
-            fleet.alerts().next_seq(),
-            fleet.alerts().firing().len(),
-        ));
-    }
+    let clean = [0xC1EA_0001u64, 0xC1EA_0002].map(|salt| {
+        let fleet = run_fleet(alerting_fleet(2, 20_000.0, salt), CLEAN_ROUNDS);
+        (fleet.alerts().next_seq(), fleet.alerts().firing().len())
+    });
 
     // 2. Serve-level shed incident: one overloaded engine, the built-in
     // shed-rate rule must fire.
@@ -134,11 +138,6 @@ fn build() -> (String, String) {
     }
     let (events, _, _) = eng.alerts().log_since(0);
     let shed_detect = first_firing(&events, "shed_rate");
-    scenarios.push(format!(
-        "{{\"scenario\": \"serve_shed\", \"rule\": \"shed_rate\", \"detect_round\": {}, \
-         \"budget\": {DETECT_BUDGET}}}",
-        opt_json(shed_detect),
-    ));
 
     // 3. Fleet burn incident: 2.5× overload, the burn alert must fire and
     // scale the fleet out.
@@ -146,28 +145,17 @@ fn build() -> (String, String) {
     let (events, _, _) = burn.alerts().log_since(0);
     let burn_detect = first_firing(&events, FLEET_BURN_RULE);
     let timeline = burn.alerts_body(0);
-    scenarios.push(format!(
-        "{{\"scenario\": \"fleet_burn\", \"rule\": \"{FLEET_BURN_RULE}\", \
-         \"detect_round\": {}, \"budget\": {DETECT_BUDGET}, \"members_live\": {}}}",
-        opt_json(burn_detect),
-        burn.members_live(),
-    ));
 
     // 4. Fault storm: the availability alert must fire and quarantine the
     // failing member.
     let storm = run_fleet(storm_fleet(), INCIDENT_ROUNDS);
     let (events, _, _) = storm.alerts().log_since(0);
     let storm_detect = first_firing(&events, MEMBER_AVAILABILITY_RULE);
-    let quarantined = storm
+    let storm_quarantined = storm
         .members()
         .iter()
         .filter(|m| m.retire_reason == Some(RetireReason::Quarantined))
         .count();
-    scenarios.push(format!(
-        "{{\"scenario\": \"fault_storm\", \"rule\": \"{MEMBER_AVAILABILITY_RULE}\", \
-         \"detect_round\": {}, \"budget\": {DETECT_BUDGET}, \"quarantined\": {quarantined}}}",
-        opt_json(storm_detect),
-    ));
 
     // Determinism: the fleet-burn timeline through a rerun and through a
     // mid-round kill recovered from checkpoint.
@@ -180,125 +168,132 @@ fn build() -> (String, String) {
         && killed.alerts_body(0) == timeline
         && killed.snapshot_json() == burn.snapshot_json();
 
-    let json = format!(
-        "{{\n\"bench\": \"alerts\",\n\"budget_rounds\": {DETECT_BUDGET},\n\
-         \"overhead_budget\": {OVERHEAD_BUDGET},\n\"scenarios\": [\n{}\n],\n\
-         \"determinism\": {{\"rerun_timeline_identical\": {rerun_ok}, \
-         \"kill_recovery_timeline_identical\": {kill_ok}}},\n\"telemetry\": {}\n}}\n",
-        scenarios.join(",\n"),
-        timeline.trim_end(),
-    );
-    (json, timeline)
+    Outcome {
+        clean,
+        shed_detect,
+        burn_detect,
+        storm_detect,
+        burn_members_live: burn.members_live(),
+        storm_quarantined,
+        rerun_ok,
+        kill_ok,
+        timeline,
+    }
+}
+
+impl Outcome {
+    /// One object per scenario, in artifact order.
+    fn scenarios(&self) -> Vec<Obj> {
+        let mut rows: Vec<Obj> = self
+            .clean
+            .iter()
+            .enumerate()
+            .map(|(i, &(transitions, firing))| {
+                Obj::new()
+                    .with("scenario", format!("clean_{i}"))
+                    .with("rounds", CLEAN_ROUNDS)
+                    .with("transitions", transitions)
+                    .with("firing", firing)
+            })
+            .collect();
+        let incident = |name: &str, rule: &str, detect: Option<u64>| {
+            Obj::new()
+                .with("scenario", name)
+                .with("rule", rule)
+                .with("detect_round", detect)
+                .with("budget", DETECT_BUDGET)
+        };
+        rows.push(incident("serve_shed", "shed_rate", self.shed_detect));
+        rows.push(
+            incident("fleet_burn", FLEET_BURN_RULE, self.burn_detect)
+                .with("members_live", self.burn_members_live),
+        );
+        rows.push(
+            incident("fault_storm", MEMBER_AVAILABILITY_RULE, self.storm_detect)
+                .with("quarantined", self.storm_quarantined),
+        );
+        rows
+    }
+
+    fn artifact(&self) -> Artifact {
+        Artifact::new(
+            "alerts",
+            Obj::new()
+                .with("budget_rounds", DETECT_BUDGET)
+                .float("overhead_budget", OVERHEAD_BUDGET, 2)
+                .with("scenarios", self.scenarios())
+                .with(
+                    "determinism",
+                    Obj::new()
+                        .with("rerun_timeline_identical", self.rerun_ok)
+                        .with("kill_recovery_timeline_identical", self.kill_ok),
+                )
+                .with("telemetry", Json::raw(self.timeline.trim_end())),
+        )
+    }
 }
 
 /// Gate 4: wall-time of the clean fleet with alerting on vs off, best of
-/// [`OVERHEAD_REPS`] each. The clean fleet never fires, so this isolates
-/// the pure observation cost (ingest + rule evaluation) from the closed
-/// loop legitimately growing the fleet on incidents.
-fn check_overhead() {
-    let time = |alerting: bool| {
-        let mut best = f64::INFINITY;
-        for _ in 0..OVERHEAD_REPS {
-            let mut cfg = alerting_fleet(2, 20_000.0, 0xC1EA_0001);
-            if !alerting {
-                cfg.alerting = None;
-            }
-            let t = Instant::now();
-            let fleet = run_fleet(cfg, CLEAN_ROUNDS);
-            assert!(fleet.rounds() == CLEAN_ROUNDS);
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
+/// 3 each. The clean fleet never fires, so this isolates the pure
+/// observation cost (ingest + rule evaluation) from the closed loop
+/// legitimately growing the fleet on incidents.
+fn check_alerting_overhead() {
+    let factor = check_overhead("alerting overhead", |alerting| {
+        let mut cfg = alerting_fleet(2, 20_000.0, 0xC1EA_0001);
+        if !alerting {
+            cfg.alerting = None;
         }
-        best
-    };
-    let off = time(false).max(1e-6);
-    let on = time(true);
-    let ratio = on / off;
-    assert!(
-        ratio <= OVERHEAD_BUDGET,
-        "alerting overhead {ratio:.3}x exceeds {OVERHEAD_BUDGET}x ({on:.2} ms vs {off:.2} ms)"
-    );
-    println!("[check] overhead OK: alerting on {on:.2} ms vs off {off:.2} ms ({ratio:.3}x)");
+        move || assert!(run_fleet(cfg, CLEAN_ROUNDS).rounds() == CLEAN_ROUNDS)
+    });
+    println!("[check] overhead OK: alerting on vs off {factor:.3}x (budget {OVERHEAD_BUDGET}x)");
 }
 
-fn field(json: &str, scenario: &str, key: &str) -> Option<f64> {
-    let line = json.lines().find(|l| l.contains(&format!("\"scenario\": \"{scenario}\"")))?;
-    let pat = format!("\"{key}\": ");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn check(json: &str, timeline: &str) {
-    assert!(json_is_valid(json), "BENCH_alerts.json must parse as JSON");
-
+fn check(outcome: &Outcome) {
     // Gate 1: zero false positives on clean seeds.
-    for s in ["clean_0", "clean_1"] {
-        let transitions = field(json, s, "transitions").expect("transitions field");
-        assert_eq!(transitions, 0.0, "{s}: clean seeds must log no alert transitions");
+    for (i, &(transitions, _)) in outcome.clean.iter().enumerate() {
+        assert_eq!(transitions, 0, "clean_{i}: clean seeds must log no alert transitions");
     }
 
     // Gate 2: bounded detection plus closed-loop actions.
-    for s in ["serve_shed", "fleet_burn", "fault_storm"] {
-        let detect = field(json, s, "detect_round")
-            .unwrap_or_else(|| panic!("{s}: incident was never detected"));
-        assert!(
-            detect <= DETECT_BUDGET as f64,
-            "{s}: detected at round {detect}, budget {DETECT_BUDGET}"
-        );
+    for (s, detect) in [
+        ("serve_shed", outcome.shed_detect),
+        ("fleet_burn", outcome.burn_detect),
+        ("fault_storm", outcome.storm_detect),
+    ] {
+        let detect = detect.unwrap_or_else(|| panic!("{s}: incident was never detected"));
+        assert!(detect <= DETECT_BUDGET, "{s}: detected at round {detect}, budget {DETECT_BUDGET}");
     }
-    let live = field(json, "fleet_burn", "members_live").expect("members_live");
-    assert!(live > 1.0, "burn alert must scale the fleet out, got {live} live");
-    let quarantined = field(json, "fault_storm", "quarantined").expect("quarantined");
-    assert_eq!(quarantined, 1.0, "availability alert must quarantine the storm member");
+    let live = outcome.burn_members_live;
+    assert!(live > 1, "burn alert must scale the fleet out, got {live} live");
+    assert_eq!(outcome.storm_quarantined, 1, "availability alert must quarantine the storm member");
 
     // Gate 3: byte-identical timelines and artifact.
-    assert!(
-        json.contains("\"rerun_timeline_identical\": true"),
-        "rerun timeline diverged"
+    assert!(outcome.rerun_ok, "rerun timeline diverged");
+    assert!(outcome.kill_ok, "kill/recovery timeline diverged");
+    let rebuilt = build();
+    assert_eq!(
+        outcome.artifact().render(),
+        rebuilt.artifact().render(),
+        "BENCH_alerts.json must reproduce byte-identically"
     );
-    assert!(
-        json.contains("\"kill_recovery_timeline_identical\": true"),
-        "kill/recovery timeline diverged"
-    );
-    let (rebuilt, timeline2) = build();
-    assert_eq!(json, rebuilt, "BENCH_alerts.json must reproduce byte-identically");
-    assert_eq!(timeline, timeline2, "alert timeline must reproduce byte-identically");
+    assert_eq!(outcome.timeline, rebuilt.timeline, "alert timeline must reproduce byte-identically");
     println!("[check] detection OK: all incidents within {DETECT_BUDGET} rounds, timelines byte-identical");
 
     // Gate 4: self-overhead.
-    check_overhead();
+    check_alerting_overhead();
 }
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    // Injected panics are caught by the supervisor; keep the default hook
-    // from spraying backtraces over the bench output.
-    std::panic::set_hook(Box::new(|info| {
-        let msg =
-            info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
-    let (json, timeline) = build();
-    let _ = std::panic::take_hook();
-
-    std::fs::write("BENCH_alerts.json", &json).expect("write BENCH_alerts.json");
-    println!("Figure X (alerts): seeded incidents through the deterministic alerting plane\n");
-    for line in json.lines().filter(|l| l.contains("\"scenario\"")) {
-        println!("  {}", line.trim_end_matches(','));
+    silence_injected_panics();
+    let outcome = build();
+    outcome.artifact().write("BENCH_alerts.json");
+    println!("\nFigure X (alerts): seeded incidents through the deterministic alerting plane\n");
+    for scenario in outcome.scenarios() {
+        println!("  {scenario}");
     }
-    println!("\nwrote BENCH_alerts.json");
 
     if check_mode {
-        std::panic::set_hook(Box::new(|info| {
-            let msg =
-                info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-            if !msg.starts_with("chaos: injected") {
-                eprintln!("{info}");
-            }
-        }));
-        check(&json, &timeline);
-        let _ = std::panic::take_hook();
+        check(&outcome);
     }
 }

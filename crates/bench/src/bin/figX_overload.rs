@@ -17,12 +17,10 @@
 //!    with QoS off is byte-identical to the `BENCH_multicore.json` on
 //!    disk: the overload layer changed nothing it didn't opt into.
 
-use sfi_bench::row;
+use sfi_bench::{row, MulticoreSweep, OverloadSweep};
 use sfi_faas::{
-    multicore_sweep_json, overload_sweep_json, AutoscalePolicy, ArrivalModel, FleetConfig,
-    FleetSupervisor, ScrapeSurface, ServeConfig,
+    AutoscalePolicy, ArrivalModel, FleetConfig, FleetSupervisor, ScrapeSurface, ServeConfig,
 };
-use sfi_telemetry::json_is_valid;
 use sfi_vm::{EngineFault, FaultPlan};
 
 const SEED: u64 = 0x5E65E9;
@@ -38,14 +36,6 @@ const RATES: [f64; 7] =
 /// byte-compatibility gate to recompute `BENCH_multicore.json`.
 const MC_DURATION_MS: u64 = 400;
 const MC_CORES: [u32; 4] = [1, 2, 4, 8];
-
-fn json_field(row: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\": ");
-    let start = row.find(&pat)? + pat.len();
-    let rest = &row[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// An elastic single-member fleet under ~2.5× overload: the unit gate 2
 /// kills and recovers — its size trajectory must not care.
@@ -69,15 +59,7 @@ fn elastic_fleet() -> FleetConfig {
 /// replay, must leave the fleet's size trajectory and modeled snapshot
 /// byte-identical to the uninterrupted run.
 fn check_elastic_determinism() {
-    // The injected panic is caught by the supervisor; keep the default
-    // hook from spraying its backtrace over the bench output.
-    std::panic::set_hook(Box::new(|info| {
-        let msg =
-            info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
+    sfi_bench::silence_injected_panics();
     let run = |chaos: Option<FaultPlan>| {
         let mut cfg = elastic_fleet();
         if let Some(plan) = chaos {
@@ -111,24 +93,22 @@ fn check_elastic_determinism() {
     );
 }
 
-fn check(json: &str) {
+fn check(sweep: &OverloadSweep, json: &str) {
     // Determinism: a second same-seed sweep reproduces the bytes.
-    let rerun = overload_sweep_json(SEED, DURATION_MS, CORES, &RATES);
+    let rerun = OverloadSweep::run(SEED, DURATION_MS, CORES, &RATES).artifact().render();
     assert_eq!(json, rerun, "same seed must reproduce BENCH_overload.json byte-identically");
-    assert!(json_is_valid(json), "BENCH_overload.json must parse as JSON");
-    assert!(json.contains("\"telemetry\""), "sweep JSON must embed a telemetry section");
-    assert!(json.contains("sfi_qos_shed_total"), "snapshot must carry QoS counters");
+    let peak = sweep.peak();
+    assert!(
+        peak.report.registry.counter_value("sfi_qos_shed_total{class=\"batch\"}").is_some(),
+        "snapshot must carry QoS counters"
+    );
 
-    // Gate 1: graceful degradation past saturation.
-    let derived_field = |name: &str| {
-        let line = json.lines().find(|l| l.contains(name)).expect("derived line");
-        json_field(line, name).expect("derived field")
-    };
-    let ls_ratio = derived_field("ls_p99_peak_over_light");
-    let batch_rate = derived_field("batch_shed_rate_at_peak");
-    let std_rate = derived_field("standard_shed_rate_at_peak");
-    let ls_shed = derived_field("ls_shed_at_peak");
-    assert_eq!(ls_shed, 0.0, "latency-sensitive must not shed at 2x overload");
+    // Gate 1: graceful degradation past saturation — the peak row against
+    // the light row, and every row's goodput.
+    let d = sweep.derived();
+    let (ls_ratio, batch_rate, std_rate) =
+        (d.ls_p99_peak_over_light, d.batch_shed_rate_at_peak, d.standard_shed_rate_at_peak);
+    assert_eq!(d.ls_shed_at_peak, 0, "latency-sensitive must not shed at 2x overload");
     assert!(
         batch_rate > std_rate,
         "batch must shed harder than standard at peak: {batch_rate:.2} vs {std_rate:.2}"
@@ -138,11 +118,7 @@ fn check(json: &str) {
         ls_ratio > 0.0 && ls_ratio <= 5.0,
         "latency-sensitive p99 must stay bounded past saturation: {ls_ratio:.2}x light load"
     );
-    let goodputs: Vec<f64> = json
-        .lines()
-        .filter(|l| l.contains("\"offered_rps\""))
-        .map(|l| json_field(l, "goodput_rps").expect("goodput field"))
-        .collect();
+    let goodputs: Vec<f64> = sweep.rows.iter().map(|r| r.qos().goodput_rps).collect();
     assert_eq!(goodputs.len(), RATES.len(), "one row per offered rate");
     let best = goodputs.iter().cloned().fold(0.0, f64::max);
     let at_peak = *goodputs.last().expect("rows");
@@ -150,12 +126,7 @@ fn check(json: &str) {
         at_peak >= 0.8 * best,
         "goodput must not collapse past saturation: {at_peak:.0} vs best {best:.0}"
     );
-    let shed_at_peak = json
-        .lines()
-        .rfind(|l| l.contains("\"offered_rps\""))
-        .and_then(|l| json_field(l, "shed_total"))
-        .expect("shed field");
-    assert!(shed_at_peak > 0.0, "2x overload must actually shed");
+    assert!(peak.qos().shed_total > 0, "2x overload must actually shed");
 
     // Gate 2: elastic determinism through a kill.
     check_elastic_determinism();
@@ -164,7 +135,7 @@ fn check(json: &str) {
     // artifact figX_multicore wrote (run `figX_multicore` first).
     let on_disk = std::fs::read_to_string("BENCH_multicore.json")
         .expect("BENCH_multicore.json on disk (run figX_multicore first)");
-    let legacy = multicore_sweep_json(SEED, MC_DURATION_MS, &MC_CORES);
+    let legacy = MulticoreSweep::run(SEED, MC_DURATION_MS, &MC_CORES).artifact().render();
     assert_eq!(
         legacy, on_disk,
         "closed-loop sweep must stay byte-identical to BENCH_multicore.json"
@@ -179,53 +150,33 @@ fn check(json: &str) {
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    let json = overload_sweep_json(SEED, DURATION_MS, CORES, &RATES);
-    std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
+    let sweep = OverloadSweep::run(SEED, DURATION_MS, CORES, &RATES);
+    let artifact = sweep.artifact();
+    artifact.write("BENCH_overload.json");
 
     println!(
-        "Figure X (overload): open-loop sweep, {DURATION_MS} ms, {CORES} cores, \
+        "\nFigure X (overload): open-loop sweep, {DURATION_MS} ms, {CORES} cores, \
          QoS + admission control\n"
     );
     let widths = [10, 10, 10, 10, 10, 9, 9, 9];
     row(
-        &[
-            "offered".into(),
-            "goodput".into(),
-            "shed".into(),
-            "shed rate".into(),
-            "occupancy".into(),
-            "ls p99".into(),
-            "std p99".into(),
-            "batch p99".into(),
-        ],
+        &["offered", "goodput", "shed", "shed rate", "occupancy", "ls p99", "std p99", "batch p99"],
         &widths,
     );
-    for line in json.lines().filter(|l| l.contains("\"offered_rps\"")) {
-        let class_p99: Vec<f64> = line
-            .match_indices("\"p99_ms\": ")
-            .map(|(at, pat)| {
-                let rest = &line[at + pat.len()..];
-                let end = rest.find([',', '}']).unwrap_or(rest.len());
-                rest[..end].trim().parse().expect("p99 field")
-            })
-            .collect();
-        row(
-            &[
-                format!("{:.0}", json_field(line, "offered_rps").expect("rate")),
-                format!("{:.0}", json_field(line, "goodput_rps").expect("goodput")),
-                format!("{:.0}", json_field(line, "shed_total").expect("shed")),
-                format!("{:.3}", json_field(line, "shed_rate").expect("shed rate")),
-                format!("{:.3}", json_field(line, "occupancy").expect("occupancy")),
-                format!("{:.2}", class_p99[0]),
-                format!("{:.2}", class_p99[1]),
-                format!("{:.2}", class_p99[2]),
-            ],
-            &widths,
-        );
+    for r in &sweep.rows {
+        let q = r.qos();
+        let mut cells = vec![
+            format!("{:.0}", r.offered_rps),
+            format!("{:.0}", q.goodput_rps),
+            format!("{}", q.shed_total),
+            format!("{:.3}", q.shed_rate),
+            format!("{:.3}", r.report.occupancy),
+        ];
+        cells.extend(q.per_class.iter().map(|c| format!("{:.2}", c.p99_ms)));
+        row(&cells, &widths);
     }
-    println!("\nwrote BENCH_overload.json");
 
     if check_mode {
-        check(&json);
+        check(&sweep, &artifact.render());
     }
 }

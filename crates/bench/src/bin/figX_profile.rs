@@ -25,23 +25,19 @@
 //!    counters carry every provenance and the same transition cycles the
 //!    shares were computed from.
 
-use std::time::Instant;
-
-use sfi_bench::{compile_workload, row, run_compiled};
+use sfi_bench::{
+    check_overhead, compile_workload, row, run_compiled, Artifact, Json, Obj, OVERHEAD_BUDGET,
+};
 use sfi_core::{CompilerConfig, Strategy};
 use sfi_faas::{simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode};
 use sfi_runtime::{Engine, Runtime, RuntimeConfig, PENALTY_NAMES};
 use sfi_telemetry::{
-    json_is_valid, json_snapshot, AlertEngine, FoldedStacks, RecordingRule, Registry, RuleSource,
+    json_snapshot, AlertEngine, FoldedStacks, RecordingRule, Registry, RuleSource,
     Selector, Tsdb,
 };
 use sfi_x86::Provenance;
 
 const DESIGN: &str = include_str!("../../../../DESIGN.md");
-
-/// The profiler's self-overhead budget (DESIGN.md §14, same 1.35× bar as
-/// the §8 tracing budget): spans + exemplars + tracing on vs all off.
-const OVERHEAD_BUDGET: f64 = 1.35;
 
 /// The strategies the matrix covers — everything except `Native`, which
 /// has no protection cycles to attribute and cannot be pooled.
@@ -169,52 +165,37 @@ fn transition_shares() -> (Vec<(Strategy, f64, f64)>, Registry) {
     (shares, rt.telemetry().registry().clone())
 }
 
-/// Builds the entire artifact. Pure function of the (fixed) inputs — the
-/// determinism gate calls it twice and byte-compares.
-fn build_report() -> String {
-    let cells = build_matrix();
-    let folded = fold_matrix(&cells);
-    let (shares, registry) = transition_shares();
-    let telemetry = json_snapshot(&registry);
-
-    let mut rows_json = Vec::new();
-    for cell in &cells {
-        let prov = Provenance::ALL
-            .iter()
-            .zip(&cell.prov)
-            .map(|(p, c)| format!("\"{}\": {c:.3}", p.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let pen = PENALTY_NAMES
-            .iter()
-            .zip(&cell.penalty)
-            .map(|(n, c)| format!("\"{n}\": {c:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        rows_json.push(format!(
-            "    {{\"strategy\": \"{}\", \"tier\": \"{}\", \"cycles\": {:.3}, \
-             \"provenance\": {{{prov}}}, \"penalty\": {{{pen}}}}}",
-            cell.strategy.name(),
-            cell.tier,
-            cell.cycles,
-        ));
-    }
-    let shares_json = shares
+/// Renders the artifact from the matrix and the runtime measurements.
+fn build_report(cells: &[Cell], shares: &[(Strategy, f64, f64)], registry: &Registry) -> Artifact {
+    let matrix: Vec<Obj> = cells
         .iter()
-        .map(|(s, tr, tot)| format!("\"{}\": {:.4}", s.name(), tr / tot))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let folded_json = folded
-        .render()
-        .lines()
-        .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    format!(
-        "{{\n  \"bench\": \"figX_profile\",\n  \"matrix\": [\n{}\n  ],\n  \
-         \"transition_share\": {{{shares_json}}},\n  \"profile\": [\n    {folded_json}\n  ],\n  \
-         \"telemetry\": {telemetry}\n}}\n",
-        rows_json.join(",\n"),
+        .map(|cell| {
+            let prov = Provenance::ALL
+                .iter()
+                .zip(&cell.prov)
+                .fold(Obj::new(), |o, (p, c)| o.float(p.name(), *c, 3));
+            let pen = PENALTY_NAMES
+                .iter()
+                .zip(&cell.penalty)
+                .fold(Obj::new(), |o, (n, c)| o.float(n, *c, 3));
+            Obj::new()
+                .with("strategy", cell.strategy.name())
+                .with("tier", cell.tier)
+                .float("cycles", cell.cycles, 3)
+                .with("provenance", prov)
+                .with("penalty", pen)
+        })
+        .collect();
+    let share = shares.iter().fold(Obj::new(), |o, (s, tr, tot)| o.float(s.name(), tr / tot, 4));
+    let folded = fold_matrix(cells).render();
+    let profile: Vec<&str> = folded.lines().collect();
+    Artifact::new(
+        "figX_profile",
+        Obj::new()
+            .with("matrix", matrix)
+            .with("transition_share", share)
+            .with("profile", profile)
+            .with("telemetry", Json::raw(json_snapshot(registry))),
     )
 }
 
@@ -240,17 +221,7 @@ fn main() {
     let cells = build_matrix();
     let widths = [14, 10, 12, 8, 8, 8, 8, 8, 9];
     row(
-        &[
-            "strategy".into(),
-            "tier".into(),
-            "cycles".into(),
-            "guest".into(),
-            "guard".into(),
-            "addr".into(),
-            "trunc".into(),
-            "glue".into(),
-            "penalty".into(),
-        ],
+        &["strategy", "tier", "cycles", "guest", "guard", "addr", "trunc", "glue", "penalty"],
         &widths,
     );
     for cell in &cells {
@@ -274,15 +245,14 @@ fn main() {
     let (shares, registry) = transition_shares();
     println!("\npooled runtime: transition-cycle share of total attributed cycles\n");
     let widths2 = [14, 10];
-    row(&["strategy".into(), "share".into()], &widths2);
+    row(&["strategy", "share"], &widths2);
     for (s, tr, tot) in &shares {
         row(&[s.name().into(), format!("{:.2}%", tr / tot * 100.0)], &widths2);
     }
 
-    let report = build_report();
-    assert!(json_is_valid(&report), "BENCH_profile.json must be valid JSON");
-    std::fs::write("BENCH_profile.json", &report).expect("write BENCH_profile.json");
-    println!("\nwrote BENCH_profile.json");
+    let report = build_report(&cells, &shares, &registry);
+    println!();
+    report.write("BENCH_profile.json");
 
     if !check {
         return;
@@ -298,8 +268,9 @@ fn main() {
     );
 
     // ---- Gate 2: determinism ---------------------------------------------
-    let rerun = build_report();
-    assert_eq!(report, rerun, "rebuilding BENCH_profile.json must be byte-identical");
+    let (shares2, registry2) = transition_shares();
+    let rerun = build_report(&build_matrix(), &shares2, &registry2);
+    assert_eq!(report.render(), rerun.render(), "rebuilding BENCH_profile.json must be byte-identical");
     println!("[check] artifact deterministic: rebuild byte-identical ✓");
 
     // ---- Gate 3: zero observer effect ------------------------------------
@@ -321,29 +292,13 @@ fn main() {
     println!("[check] spans on vs off: every benchmark result field identical ✓");
 
     // ---- Gate 4: self-overhead -------------------------------------------
-    let time = |capacity: usize, spans: bool| {
-        (0..3)
-            .map(|_| {
-                let cfg = span_rig(capacity, spans);
-                let t0 = Instant::now();
-                let r = simulate_multicore(&cfg);
-                assert!(r.completed > 0);
-                t0.elapsed()
-            })
-            .min()
-            .expect("three timed runs")
-    };
     // Profiler on vs profiler off at the production ring size (512, the
     // paper_rig default) — tracing's own cost is budgeted separately by
     // the §8 gate in figX_multicore.
-    let off_t = time(512, false);
-    let on_t = time(512, true);
-    let factor = on_t.as_secs_f64() / off_t.as_secs_f64().max(1e-9);
-    assert!(
-        factor <= OVERHEAD_BUDGET,
-        "profiler self-overhead {factor:.2}x exceeds the {OVERHEAD_BUDGET:.2}x budget \
-         (on {on_t:?} vs off {off_t:?})"
-    );
+    let factor = check_overhead("profiler self-overhead", |spans| {
+        let cfg = span_rig(512, spans);
+        move || assert!(simulate_multicore(&cfg).completed > 0)
+    });
     println!(
         "[check] self-overhead {factor:.2}x (budget {OVERHEAD_BUDGET:.2}x, spans + exemplars vs profiler off) ✓"
     );

@@ -25,9 +25,10 @@
 //!    per-level mitigation cycles add up to the `spec_mitigation` profile
 //!    bucket.
 
-use sfi_bench::{config_for, geomean, row, run_compiled};
+use sfi_bench::{config_for, row, run_compiled, Artifact, Json, Obj};
 use sfi_core::harness::speculative_check;
 use sfi_core::{compile, CompilerConfig, MitigationLevel, Strategy};
+use sfi_faas::stats::geomean;
 use sfi_runtime::{Engine, Runtime, RuntimeConfig};
 use sfi_telemetry::{json_snapshot, Registry};
 use sfi_workloads::{gadgets, genprog};
@@ -43,12 +44,12 @@ const PROTECTED: [Strategy; 6] = [
     Strategy::Masking,
 ];
 
-/// One full deterministic measurement pass: returns the rendered JSON
-/// artifact and the runtime registry it embeds. `--check` calls it twice
-/// and requires byte equality.
-fn measure() -> (String, Registry) {
+/// One full deterministic measurement pass: returns the artifact and the
+/// runtime registry it embeds. `--check` calls it twice and requires byte
+/// equality.
+fn measure() -> (Artifact, Registry) {
     // ---- Part 1: leak matrix over the gadget corpus ----------------------
-    let mut matrix_json = Vec::new();
+    let mut leak_matrix = Vec::new();
     let mut totals = vec![[0u64; MitigationLevel::ALL.len()]; PROTECTED.len()];
     let mut segue_none_by_gadget = Vec::new();
     for w in gadgets::gadgets() {
@@ -60,14 +61,14 @@ fn measure() -> (String, Registry) {
             if strategy == Strategy::Segue && level == MitigationLevel::None {
                 segue_none_by_gadget.push((w.name, leaked));
             }
-            matrix_json.push(format!(
-                "    {{\"gadget\": \"{}\", \"strategy\": \"{}\", \"level\": \"{}\", \
-                 \"declared_safe\": {}, \"leaks\": {leaked}}}",
-                w.name,
-                strategy.name(),
-                level.name(),
-                level.declared_safe(strategy),
-            ));
+            leak_matrix.push(
+                Obj::new()
+                    .with("gadget", w.name)
+                    .with("strategy", strategy.name())
+                    .with("level", level.name())
+                    .with("declared_safe", level.declared_safe(strategy))
+                    .with("leaks", leaked),
+            );
         }
     }
 
@@ -88,13 +89,10 @@ fn measure() -> (String, Registry) {
     // ---- Part 2: mitigation overhead on the fig6 hot modules -------------
     println!("\nmitigation overhead: geomean cycles vs None on the fig6 hot modules\n");
     let widths2 = [18, 10, 10, 12];
-    row(
-        &["strategy".into(), "lfence".into(), "slh".into(), "index-mask".into()],
-        &widths2,
-    );
+    row(&["strategy", "lfence", "slh", "index-mask"], &widths2);
     let faas = sfi_workloads::faas();
-    let mut overhead_json = Vec::new();
-    let mut deltas_json = Vec::new();
+    let mut overhead_rows = Vec::new();
+    let mut segue_cycles = Vec::new();
     let mut lfence_costliest = true;
     for strategy in PROTECTED {
         let mut geomeans = [0.0f64; MitigationLevel::ALL.len()];
@@ -106,7 +104,7 @@ fn measure() -> (String, Registry) {
                 let cm = compile(&module, &cfg).expect("compiles");
                 let m = run_compiled(w, &cm);
                 if strategy == Strategy::Segue {
-                    deltas_json.push((w.name, *level, m.cycles));
+                    segue_cycles.push((w.name, *level, m.cycles));
                 }
                 cycles.push(m.cycles);
             }
@@ -125,37 +123,37 @@ fn measure() -> (String, Registry) {
         );
         lfence_costliest &= geomeans[1] >= geomeans[2] && geomeans[1] >= geomeans[3];
         for (li, level) in MitigationLevel::ALL.iter().enumerate() {
-            overhead_json.push(format!(
-                "    {{\"strategy\": \"{}\", \"level\": \"{}\", \"geomean_cycles\": {:.3}, \
-                 \"overhead_percent_vs_none\": {:.3}}}",
-                strategy.name(),
-                level.name(),
-                geomeans[li],
-                over(geomeans[li]),
-            ));
+            overhead_rows.push(
+                Obj::new()
+                    .with("strategy", strategy.name())
+                    .with("level", level.name())
+                    .float("geomean_cycles", geomeans[li], 3)
+                    .float("overhead_percent_vs_none", over(geomeans[li]), 3),
+            );
         }
     }
     assert!(lfence_costliest, "lfence must be the costliest mitigation everywhere");
 
     // Per-module Segue deltas (the fig6 population the paper's frontier
     // argument is about).
-    let mut fig6_json = Vec::new();
+    let mut fig6_deltas = Vec::new();
     for w in &faas {
-        let base = deltas_json
+        let base = segue_cycles
             .iter()
             .find(|(n, l, _)| *n == w.name && *l == MitigationLevel::None)
             .expect("baseline measured")
             .2;
-        for (name, level, cycles) in &deltas_json {
+        for (name, level, cycles) in &segue_cycles {
             if *name != w.name {
                 continue;
             }
-            fig6_json.push(format!(
-                "    {{\"module\": \"{name}\", \"level\": \"{}\", \"cycles\": {cycles:.3}, \
-                 \"delta_percent\": {:.3}}}",
-                level.name(),
-                (cycles / base - 1.0) * 100.0,
-            ));
+            fig6_deltas.push(
+                Obj::new()
+                    .with("module", *name)
+                    .with("level", level.name())
+                    .float("cycles", *cycles, 3)
+                    .float("delta_percent", (cycles / base - 1.0) * 100.0, 3),
+            );
         }
     }
 
@@ -179,30 +177,29 @@ fn measure() -> (String, Registry) {
     }
     let registry = rt.telemetry().registry().clone();
 
-    let json = format!(
-        "{{\n  \"bench\": \"figX_spectre\",\n  \"leak_matrix\": [\n{}\n  ],\n  \
-         \"mitigation_overhead\": [\n{}\n  ],\n  \"fig6_segue_deltas\": [\n{}\n  ],\n  \
-         \"segue_none_leaks_by_gadget\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
-        matrix_json.join(",\n"),
-        overhead_json.join(",\n"),
-        fig6_json.join(",\n"),
-        segue_none_by_gadget
-            .iter()
-            .map(|(n, l)| format!("    {{\"gadget\": \"{n}\", \"leaks\": {l}}}"))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        json_snapshot(&registry),
+    let leaks_by_gadget: Vec<Obj> = segue_none_by_gadget
+        .iter()
+        .map(|&(n, l)| Obj::new().with("gadget", n).with("leaks", l))
+        .collect();
+    let artifact = Artifact::new(
+        "figX_spectre",
+        Obj::new()
+            .with("leak_matrix", leak_matrix)
+            .with("mitigation_overhead", overhead_rows)
+            .with("fig6_segue_deltas", fig6_deltas)
+            .with("segue_none_leaks_by_gadget", leaks_by_gadget)
+            .with("telemetry", Json::raw(json_snapshot(&registry))),
     );
-    (json, registry)
+    (artifact, registry)
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     println!("Figure X (spectre): speculative-leak matrix and the mitigation frontier\n");
 
-    let (json, registry) = measure();
-    std::fs::write("BENCH_spectre.json", &json).expect("write BENCH_spectre.json");
-    println!("\nwrote BENCH_spectre.json");
+    let (artifact, registry) = measure();
+    println!();
+    artifact.write("BENCH_spectre.json");
 
     if !check {
         return;
@@ -243,7 +240,11 @@ fn main() {
 
     // ---- Gate 4: same-seed determinism -----------------------------------
     let (again, _) = measure();
-    assert_eq!(json, again, "BENCH_spectre.json must be byte-identical when re-measured");
+    assert_eq!(
+        artifact.render(),
+        again.render(),
+        "BENCH_spectre.json must be byte-identical when re-measured"
+    );
     let gadget = sfi_wasm::wat::parse(&gadgets::bounds_check_bypass(
         64,
         gadgets::SECRET_INDEX,

@@ -19,8 +19,9 @@
 //! 5. the runtime's tier series count every promotion and observe each
 //!    tier's invocations in `sfi_tier_guest_cycles`.
 
-use sfi_bench::{config_for, geomean, row, run_compiled};
+use sfi_bench::{config_for, row, run_compiled, Artifact, Json, Obj};
 use sfi_core::{compile, OptLevel, Strategy};
+use sfi_faas::stats::geomean;
 use sfi_runtime::{Engine, Runtime, RuntimeConfig, Tier, TierPolicy};
 use sfi_telemetry::json_snapshot;
 use sfi_wasm::interp::Interpreter;
@@ -41,19 +42,9 @@ fn main() {
 
     // ---- Part 1: per-module cycle win under Segue ------------------------
     let widths = [20, 14, 14, 9, 11, 11];
-    row(
-        &[
-            "module".into(),
-            "base cycles".into(),
-            "opt cycles".into(),
-            "cut".into(),
-            "base c/i".into(),
-            "opt c/i".into(),
-        ],
-        &widths,
-    );
+    row(&["module", "base cycles", "opt cycles", "cut", "base c/i", "opt c/i"], &widths);
 
-    let mut rows_json = Vec::new();
+    let mut rows = Vec::new();
     let mut cuts = Vec::new();
     for w in sfi_workloads::faas() {
         let module = w.module();
@@ -77,16 +68,16 @@ fn main() {
             ],
             &widths,
         );
-        rows_json.push(format!(
-            "    {{\"module\": \"{}\", \"baseline_cycles\": {:.3}, \"optimized_cycles\": {:.3}, \
-             \"cycle_cut_percent\": {:.3}, \"baseline_cpi\": {cpi_b:.4}, \"optimized_cpi\": {cpi_o:.4}, \
-             \"opt_rewrites\": {}}}",
-            w.name,
-            mb.cycles,
-            mo.cycles,
-            cut * 100.0,
-            opt.opt_stats.total(),
-        ));
+        rows.push(
+            Obj::new()
+                .with("module", w.name)
+                .float("baseline_cycles", mb.cycles, 3)
+                .float("optimized_cycles", mo.cycles, 3)
+                .float("cycle_cut_percent", cut * 100.0, 3)
+                .float("baseline_cpi", cpi_b, 4)
+                .float("optimized_cpi", cpi_o, 4)
+                .with("opt_rewrites", opt.opt_stats.total()),
+        );
     }
     let gm = geomean(&cuts.iter().map(|c| 1.0 - c).collect::<Vec<_>>());
     println!("\ngeomean cycle cut {:.1}% across the fig6 hot modules", (1.0 - gm) * 100.0);
@@ -104,7 +95,7 @@ fn main() {
     let mut engine = Engine::with_tier_policy(64, TierPolicy { promote_after: 4 });
     let mut rt = Runtime::new(RuntimeConfig::small_test(true)).expect("runtime");
     let widths2 = [20, 10, 12, 12];
-    row(&["module".into(), "spawns".into(), "baseline".into(), "optimized".into()], &widths2);
+    row(&["module", "spawns", "baseline", "optimized"], &widths2);
     for (name, wat) in &hot {
         let module = sfi_wasm::wat::parse(wat).expect("kernel parses");
         let cfg = sfi_core::CompilerConfig::for_strategy(Strategy::Segue);
@@ -118,10 +109,7 @@ fn main() {
             rt.invoke(id, "run", &[]).expect("runs");
             rt.terminate(id).expect("terminate");
         }
-        row(
-            &[(*name).into(), "8".into(), format!("{at_base}"), format!("{at_opt}")],
-            &widths2,
-        );
+        row(&[(*name).into(), "8".into(), format!("{at_base}"), format!("{at_opt}")], &widths2);
         assert_eq!(at_base, 4, "{name}: promote_after spawns stay at baseline");
         assert_eq!(at_opt, 4, "{name}: the rest are served optimized");
     }
@@ -131,17 +119,15 @@ fn main() {
         stats.promotions, stats.demotions
     );
 
-    let telemetry = json_snapshot(rt.telemetry().registry());
-    let json = format!(
-        "{{\n  \"bench\": \"figX_tiers\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"geomean_cycle_cut_percent\": {:.3},\n  \"promotions\": {},\n  \"telemetry\": {}\n}}\n",
-        rows_json.join(",\n"),
-        (1.0 - gm) * 100.0,
-        stats.promotions,
-        telemetry
-    );
-    std::fs::write("BENCH_tiers.json", &json).expect("write BENCH_tiers.json");
-    println!("wrote BENCH_tiers.json");
+    Artifact::new(
+        "figX_tiers",
+        Obj::new()
+            .with("rows", rows)
+            .float("geomean_cycle_cut_percent", (1.0 - gm) * 100.0, 3)
+            .with("promotions", stats.promotions)
+            .with("telemetry", Json::raw(json_snapshot(rt.telemetry().registry()))),
+    )
+    .write("BENCH_tiers.json");
 
     if !check {
         return;

@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use sfi_bench::arg_after;
+use sfi_bench::{arg_after, silence_injected_panics};
 use sfi_faas::{
     endpoints, serve_background, FleetConfig, FleetSupervisor, MemberState, ScrapeSurface,
 };
@@ -53,21 +53,6 @@ const CHECK_ROUNDS: u64 = 6;
 
 /// The availability floor the killed fleet must stay above.
 const AVAILABILITY_FLOOR: f64 = 0.75;
-
-/// Suppresses the default panic hook's output for the chaos layer's
-/// injected (and caught) mid-round panics; everything else still prints.
-fn silence_injected_panics() {
-    std::panic::set_hook(Box::new(|info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
-}
 
 /// A small check-scale fleet: short rounds, N members.
 fn check_fleet(members: u32) -> FleetConfig {

@@ -4,13 +4,14 @@
 //! (pointer compression), improving to 10% with Segue; Dhrystone 9.7%
 //! faster, improving to 28.2%.
 
-use sfi_bench::{geomean, measure, row};
+use sfi_bench::{measure, row};
 use sfi_core::Strategy;
+use sfi_faas::stats::geomean;
 
 fn main() {
     println!("§6.2: PolybenchC and Dhrystone on WAMR (normalized runtime, native = 100%)\n");
     let widths = [12, 10, 12];
-    row(&["benchmark".into(), "wamr".into(), "wamr+segue".into()], &widths);
+    row(&["benchmark", "wamr", "wamr+segue"], &widths);
     let mut base = Vec::new();
     let mut segue = Vec::new();
     for w in sfi_workloads::polybench() {
@@ -31,10 +32,7 @@ fn main() {
     }
     let gb = geomean(&base);
     let gs = geomean(&segue);
-    row(
-        &["geomean".into(), format!("{:.1}%", gb * 100.0), format!("{:.1}%", gs * 100.0)],
-        &widths,
-    );
+    row(&["geomean".into(), format!("{:.1}%", gb * 100.0), format!("{:.1}%", gs * 100.0)], &widths);
     println!(
         "\nPolybenchC vs native: wasm {:+.1}%, wasm+segue {:+.1}% \
          (paper: wasm 6% faster, segue 10% faster)",

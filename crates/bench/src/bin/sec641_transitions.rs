@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use sfi_bench::{Artifact, Json, Obj};
 use sfi_core::{compile, CompilerConfig, Strategy};
 use sfi_runtime::{Runtime, RuntimeConfig, TransitionKind, TransitionModel, MEM_ACCESS_SAMPLE_RATE};
 
@@ -47,7 +48,7 @@ fn main() {
         compile(&module, &CompilerConfig::for_strategy(Strategy::Segue)).expect("compiles"),
     );
 
-    let mut snapshots: Vec<String> = Vec::new();
+    let mut runs = Vec::new();
     let mut p50s = Vec::new();
     for colorguard in [false, true] {
         let mut rt = Runtime::new(RuntimeConfig::small_test(colorguard)).expect("runtime");
@@ -62,8 +63,11 @@ fn main() {
             rt.transitions.count,
             rt.transitions.mean_ns(&tm)
         );
-        snapshots
-            .push(format!("    {{\"colorguard\": {colorguard}, \"telemetry\": {}}}", rt.telemetry_snapshot()));
+        runs.push(
+            Obj::new()
+                .with("colorguard", colorguard)
+                .with("telemetry", Json::raw(rt.telemetry_snapshot())),
+        );
         let registry = rt.telemetry().registry();
         let sampled = format!("sfi_guest_mem_accesses_total{{sample_rate=\"{MEM_ACCESS_SAMPLE_RATE}\"}}");
         assert!(
@@ -80,18 +84,14 @@ fn main() {
     // counters, the invocation-transition cycle histogram, pool gauges —
     // exported per configuration, the same `"telemetry"` shape
     // `figX_multicore` embeds.
-    let json = format!(
-        "{{\n  \"bench\": \"sec641_transitions\",\n  \"modeled_ns\": {{\
-         \"baseline\": {:.3}, \"colorguard\": {:.3}, \"segue_wrgsbase\": {:.3}, \
-         \"segue_arch_prctl\": {:.3}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        tm.ns(plain),
-        tm.ns(cg),
-        tm.ns(seg),
-        tm.ns(seg_syscall),
-        snapshots.join(",\n"),
-    );
-    std::fs::write("BENCH_sec641.json", &json).expect("write BENCH_sec641.json");
-    println!("\nwrote BENCH_sec641.json");
+    let modeled_ns = Obj::new()
+        .float("baseline", tm.ns(plain), 3)
+        .float("colorguard", tm.ns(cg), 3)
+        .float("segue_wrgsbase", tm.ns(seg), 3)
+        .float("segue_arch_prctl", tm.ns(seg_syscall), 3);
+    println!();
+    Artifact::new("sec641_transitions", Obj::new().with("modeled_ns", modeled_ns).with("runs", runs))
+        .write("BENCH_sec641.json");
 
     sfi_bench::check_calibration(DESIGN, "sec641", &[("baseline", p50s[0]), ("colorguard", p50s[1])]);
 }

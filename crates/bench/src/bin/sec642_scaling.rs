@@ -7,6 +7,7 @@
 //! `vm.max_map_count` sysctl raised, as §5.1 requires) and allocates from
 //! them.
 
+use sfi_bench::{Artifact, Json, Obj};
 use sfi_pool::{compute_layout, MemoryPool, PoolConfig};
 use sfi_vm::AddressSpace;
 
@@ -62,18 +63,16 @@ fn main() {
     // `"telemetry"` section `figX_multicore` carries.
     let mut telem = sfi_runtime::RuntimeTelemetry::new(0, 0);
     telem.scrape(&pool, &space, handles.len());
-    let json = format!(
-        "{{\n  \"bench\": \"sec642_scaling\",\n  \"slots_without_colorguard\": {},\n  \
-         \"slots_with_colorguard\": {},\n  \"built_capacity\": {},\n  \"allocated\": {},\n  \
-         \"vmas\": {},\n  \"colors\": {},\n  \"telemetry\": {}\n}}\n",
-        without.num_slots,
-        with.num_slots,
-        pool.capacity(),
-        handles.len(),
-        space.map_count(),
-        stripes.len(),
-        sfi_telemetry::json_snapshot(telem.registry()),
-    );
-    std::fs::write("BENCH_sec642.json", &json).expect("write BENCH_sec642.json");
-    println!("wrote BENCH_sec642.json");
+    Artifact::new(
+        "sec642_scaling",
+        Obj::new()
+            .with("slots_without_colorguard", without.num_slots)
+            .with("slots_with_colorguard", with.num_slots)
+            .with("built_capacity", pool.capacity())
+            .with("allocated", handles.len())
+            .with("vmas", space.map_count())
+            .with("colors", stripes.len())
+            .with("telemetry", Json::raw(sfi_telemetry::json_snapshot(telem.registry()))),
+    )
+    .write("BENCH_sec642.json");
 }

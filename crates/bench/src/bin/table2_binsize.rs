@@ -8,10 +8,7 @@ use sfi_core::Strategy;
 fn main() {
     println!("Table 2: SPEC CPU 2006 compiled code size, Wasm2c vs Wasm2c+Segue\n");
     let widths = [16, 12, 14, 12];
-    row(
-        &["benchmark".into(), "wasm2c".into(), "wasm2c+segue".into(), "reduction".into()],
-        &widths,
-    );
+    row(&["benchmark", "wasm2c", "wasm2c+segue", "reduction"], &widths);
     let mut reductions = Vec::new();
     for w in sfi_workloads::spec2006() {
         let base = compile_workload(&w, Strategy::GuardRegion, false).code_size();

@@ -4,8 +4,10 @@
 //! that writes a `BENCH_*.json` artifact is also the only place that gates
 //! it. This library holds the shared measurement plumbing: compile a corpus
 //! workload under a strategy, run it on the deterministic emulator, and
-//! report modeled cycles, instruction counts and code size, plus the
-//! DESIGN.md calibration-record check.
+//! report modeled cycles, instruction counts and code size; the one
+//! artifact writer ([`Artifact`]) and the two shard sweeps it renders
+//! ([`sweep`]); the DESIGN.md calibration-record check and the wall-clock
+//! overhead gate.
 //!
 //! Reproduce everything with:
 //!
@@ -25,6 +27,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+
+pub mod artifact;
+pub mod sweep;
+
+use std::time::Instant;
+
+pub use artifact::{Artifact, Json, Obj};
+pub use sweep::{MulticoreSweep, OverloadSweep};
 
 use sfi_core::{compile, CompiledModule, CompilerConfig, MemLayout, OptLevel, RuntimeRegions, Strategy};
 use sfi_wasm::PAGE_SIZE;
@@ -111,24 +121,67 @@ pub fn run_compiled(w: &Workload, cm: &CompiledModule) -> Measured {
     }
 }
 
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    sfi_faas::stats::geomean(xs)
-}
-
 /// The value following `flag` on the command line (`--port 9100`).
 pub fn arg_after(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Keeps the default panic hook from printing the chaos layer's injected
+/// (and caught) panics over the bench output; every other panic still
+/// prints. Restore the default with [`std::panic::take_hook`].
+pub fn silence_injected_panics() {
+    std::panic::set_hook(Box::new(|info| {
+        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        if !msg.starts_with("chaos: injected") {
+            eprintln!("{info}");
+        }
+    }));
+}
+
 /// Prints a crude fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) {
+pub fn row(cells: &[impl AsRef<str>], widths: &[usize]) {
     let mut line = String::new();
     for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = *w));
+        line.push_str(&format!("{:>w$}  ", c.as_ref(), w = *w));
     }
     println!("{}", line.trim_end());
+}
+
+/// Documented self-overhead budget (DESIGN.md §8, §14, §15): an observed
+/// configuration may cost at most this factor over the unobserved one,
+/// best-of-3 wall clock.
+pub const OVERHEAD_BUDGET: f64 = 1.35;
+
+/// The wall-clock overhead gate: times the workload `setup(false)` returns
+/// three times, then the one `setup(true)` returns three times (set-up is
+/// untimed), and requires the best observed-on time to stay within
+/// [`OVERHEAD_BUDGET`] of the best observed-off time. Returns the factor.
+///
+/// # Panics
+///
+/// Naming `label`, the factor and both times, when the budget is exceeded.
+pub fn check_overhead<W: FnOnce()>(label: &str, mut setup: impl FnMut(bool) -> W) -> f64 {
+    let mut best_of_3 = |on: bool| {
+        (0..3)
+            .map(|_| {
+                let workload = setup(on);
+                let t0 = Instant::now();
+                workload();
+                t0.elapsed()
+            })
+            .min()
+            .expect("three timed runs")
+    };
+    let off_t = best_of_3(false);
+    let on_t = best_of_3(true);
+    let factor = on_t.as_secs_f64() / off_t.as_secs_f64().max(1e-9);
+    assert!(
+        factor <= OVERHEAD_BUDGET,
+        "{label} {factor:.2}x exceeds the {OVERHEAD_BUDGET:.2}x budget \
+         (on {on_t:?} vs off {off_t:?})"
+    );
+    factor
 }
 
 /// Largest relative drift a measured value may show against its DESIGN.md

@@ -343,6 +343,21 @@ struct Member {
 }
 
 impl Member {
+    /// A fresh live member `id` running `cfg`.
+    fn new(id: u64, cfg: ServeConfig) -> Member {
+        Member {
+            id,
+            engine: ServeEngine::new(cfg.clone()),
+            cfg,
+            state: MemberState::Live,
+            faults: 0,
+            restarts: 0,
+            checkpoint_rounds: 0,
+            dead_lettered_rounds: 0,
+            retire_reason: None,
+        }
+    }
+
     /// An uninterrupted replay of this member's config for `rounds`
     /// rounds — the crash-recovery primitive *and* the byte-equality
     /// reference the `--check` gate diffs against.
@@ -464,17 +479,7 @@ impl FleetSupervisor {
             .members
             .into_iter()
             .enumerate()
-            .map(|(i, mcfg)| Member {
-                id: i as u64,
-                engine: ServeEngine::new(mcfg.clone()),
-                cfg: mcfg,
-                state: MemberState::Live,
-                faults: 0,
-                restarts: 0,
-                checkpoint_rounds: 0,
-                dead_lettered_rounds: 0,
-                retire_reason: None,
-            })
+            .map(|(i, mcfg)| Member::new(i as u64, mcfg))
             .collect();
         for m in &members {
             plane.stream.record(TraceEvent {
@@ -525,13 +530,7 @@ impl FleetSupervisor {
                 if self.members[idx].retire_reason == Some(RetireReason::ScaledIn) {
                     continue;
                 }
-                self.members[idx].dead_lettered_rounds += 1;
-                self.reg.inc(self.meta.dead_lettered);
-                self.polls += 1;
-                self.failed_polls += 1;
-                self.reg.inc(self.meta.polls);
-                self.reg.inc(self.meta.poll_failures);
-                poll_ok.push((self.members[idx].id, false));
+                poll_ok.push(self.dead_letter_round(idx));
                 continue;
             }
             // The round's attempt-0 chaos draw decides the member's fate:
@@ -545,14 +544,9 @@ impl FleetSupervisor {
             let member_id = self.members[idx].id;
             let round_tid =
                 crate::shard::trace_id(self.members[idx].cfg.engine.seed ^ 0xF1EE_7000, r);
+            let span = |start: bool| pack_span(SpanLevel::FleetMember, start, !start, member_id);
             if spans {
-                self.plane.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: member_id as u32,
-                    sandbox: round_tid,
-                    kind: TraceKind::Flow,
-                    arg: pack_span(SpanLevel::FleetMember, true, false, member_id),
-                });
+                self.trace(member_id, round_tid, TraceKind::Flow, span(true));
             }
             if fault0 == Some(EngineFault::MidRoundPanic) {
                 self.crash_and_recover(idx, r);
@@ -562,13 +556,7 @@ impl FleetSupervisor {
             }
             self.clock.advance(duration_ns);
             if spans {
-                self.plane.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: member_id as u32,
-                    sandbox: round_tid,
-                    kind: TraceKind::Flow,
-                    arg: pack_span(SpanLevel::FleetMember, false, true, member_id),
-                });
+                self.trace(member_id, round_tid, TraceKind::Flow, span(false));
             }
             if let Some(f) = fault0 {
                 self.note_fault(idx, f);
@@ -578,13 +566,7 @@ impl FleetSupervisor {
             // as a failed poll, not a served one.
             if self.members[idx].faults >= self.policy.max_faults {
                 self.retire(idx, RetireReason::FaultBudget);
-                self.members[idx].dead_lettered_rounds += 1;
-                self.reg.inc(self.meta.dead_lettered);
-                self.polls += 1;
-                self.failed_polls += 1;
-                self.reg.inc(self.meta.polls);
-                self.reg.inc(self.meta.poll_failures);
-                poll_ok.push((self.members[idx].id, false));
+                poll_ok.push(self.dead_letter_round(idx));
             } else {
                 let ok = self.poll_member(idx, r, fault0);
                 poll_ok.push((self.members[idx].id, ok));
@@ -594,6 +576,24 @@ impl FleetSupervisor {
         self.reg.inc(self.meta.rounds);
         self.autoscale_pass();
         self.alert_pass(&poll_ok);
+    }
+
+    /// Books member `idx`'s round as dead-lettered: its work is lost, so
+    /// the round counts as a failed poll. Returns the poll outcome.
+    fn dead_letter_round(&mut self, idx: usize) -> (u64, bool) {
+        self.members[idx].dead_lettered_rounds += 1;
+        self.reg.inc(self.meta.dead_lettered);
+        self.polls += 1;
+        self.failed_polls += 1;
+        self.reg.inc(self.meta.polls);
+        self.reg.inc(self.meta.poll_failures);
+        (self.members[idx].id, false)
+    }
+
+    /// Records a supervision trace event at the current virtual time.
+    fn trace(&mut self, core: u64, sandbox: u64, kind: TraceKind, arg: u64) {
+        let tick = self.clock.now();
+        self.plane.stream.record(TraceEvent { tick, core: core as u32, sandbox, kind, arg });
     }
 
     /// Ingests the round into the federated tsdb, evaluates the fleet
@@ -695,26 +695,10 @@ impl FleetSupervisor {
         let mut cfg = template.clone();
         cfg.engine.seed = crate::serve::round_seed(template.engine.seed, 0x4_0000 + id);
         cfg.probe.seed = crate::serve::round_seed(template.probe.seed, 0x8_0000 + id);
-        self.members.push(Member {
-            id,
-            engine: ServeEngine::new(cfg.clone()),
-            cfg,
-            state: MemberState::Live,
-            faults: 0,
-            restarts: 0,
-            checkpoint_rounds: 0,
-            dead_lettered_rounds: 0,
-            retire_reason: None,
-        });
+        self.members.push(Member::new(id, cfg));
         self.reg.inc(self.meta.scale_out);
         self.reg.set(self.meta.members_live, self.members_live() as i64);
-        self.plane.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: id as u32,
-            sandbox: id,
-            kind: TraceKind::Spawn,
-            arg: spawn_arg,
-        });
+        self.trace(id, id, TraceKind::Spawn, spawn_arg);
     }
 
     /// Gracefully retires member `idx` (reason `ScaledIn`): it drains off
@@ -754,13 +738,7 @@ impl FleetSupervisor {
         m.engine = fresh;
         if !will_retire {
             self.reg.inc(self.meta.restarts);
-            self.plane.stream.record(TraceEvent {
-                tick: self.clock.now(),
-                core: idx as u32,
-                sandbox: idx as u64,
-                kind: TraceKind::Spawn,
-                arg: 1,
-            });
+            self.trace(idx as u64, idx as u64, TraceKind::Spawn, 1);
         }
     }
 
@@ -770,13 +748,7 @@ impl FleetSupervisor {
         self.members[idx].faults += 1;
         let kind_idx = EngineFault::ALL.iter().position(|f| *f == fault).expect("known kind");
         self.reg.inc(self.meta.faults_by_kind[kind_idx]);
-        self.plane.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: idx as u32,
-            sandbox: idx as u64,
-            kind: TraceKind::Trap,
-            arg: kind_idx as u64,
-        });
+        self.trace(idx as u64, idx as u64, TraceKind::Trap, kind_idx as u64);
     }
 
     /// Retires member `idx`: frozen at its checkpoint, no more rounds or
@@ -793,16 +765,10 @@ impl FleetSupervisor {
             self.reg.inc(self.meta.retirements);
         }
         self.reg.set(self.meta.members_live, self.members_live() as i64);
-        self.plane.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: idx as u32,
-            sandbox: idx as u64,
-            kind: TraceKind::Recycle,
-            arg: match reason {
-                RetireReason::FaultBudget => 1,
-                RetireReason::ScaledIn => 2,
-                RetireReason::Quarantined => 3,
-            },
+        self.trace(idx as u64, idx as u64, TraceKind::Recycle, match reason {
+            RetireReason::FaultBudget => 1,
+            RetireReason::ScaledIn => 2,
+            RetireReason::Quarantined => 3,
         });
     }
 
@@ -875,24 +841,12 @@ impl FleetSupervisor {
         match outcome {
             Ok(((), attempts)) => {
                 self.reg.add(self.meta.poll_attempts, attempts as u64);
-                self.plane.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: idx as u32,
-                    sandbox: member_id,
-                    kind: TraceKind::Exit,
-                    arg: attempts as u64,
-                });
+                self.trace(idx as u64, member_id, TraceKind::Exit, attempts as u64);
                 // A poll that needed retries recovered within budget: the
                 // member is back — the quarantine ladder's "rehabilitated"
                 // rung, one level up.
                 if attempts > 1 {
-                    self.plane.stream.record(TraceEvent {
-                        tick: self.clock.now(),
-                        core: idx as u32,
-                        sandbox: member_id,
-                        kind: TraceKind::Recycle,
-                        arg: 0,
-                    });
+                    self.trace(idx as u64, member_id, TraceKind::Recycle, 0);
                 }
                 true
             }

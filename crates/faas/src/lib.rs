@@ -51,8 +51,8 @@ pub use serve::{
     TSDB_WINDOW,
 };
 pub use shard::{
-    multicore_sweep_json, overload_sweep_json, simulate_multicore, trace_id, CacheMode,
-    CoreMetrics, MultiCoreConfig, MultiCoreReport, SpawnModel, DTLB_SAMPLE_RATE,
+    simulate_multicore, trace_id, CacheMode, CoreMetrics, MultiCoreConfig, MultiCoreReport,
+    SpawnModel, DTLB_SAMPLE_RATE,
 };
 pub use sim::{
     sim_registry, simulate, throughput_gain_percent, ArrivalModel, ArrivalPhase, FaasWorkload,

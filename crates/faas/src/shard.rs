@@ -263,10 +263,8 @@ pub struct MultiCoreReport {
     /// and the latency histograms — both per-core `{core="N"}` series and
     /// the bucket-wise cross-shard merge). A live server folds successive
     /// reports' registries together with [`Registry::merge_from`].
+    /// Render it with [`sfi_telemetry::json_snapshot`].
     pub registry: Registry,
-    /// [`MultiCoreReport::registry`] as a deterministic JSON snapshot
-    /// (embedded verbatim in `BENCH_multicore.json`).
-    pub telemetry_json: String,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -749,7 +747,6 @@ pub fn simulate_multicore(cfg: &MultiCoreConfig) -> MultiCoreReport {
     if let Some(rep) = &qos_report {
         registry.merge_from(&qos_registry(rep, &class_hist));
     }
-    let telemetry_json = sfi_telemetry::json_snapshot(&registry);
     MultiCoreReport {
         cores: ncores,
         offered: requests.len() as u64,
@@ -765,7 +762,6 @@ pub fn simulate_multicore(cfg: &MultiCoreConfig) -> MultiCoreReport {
         latency_per_core,
         exemplars,
         registry,
-        telemetry_json,
     }
 }
 
@@ -850,236 +846,10 @@ fn qos_registry(rep: &QosReport, hists: &[CycleHistogram; 3]) -> Registry {
 /// series' `sample_rate` label).
 pub const DTLB_SAMPLE_RATE: u64 = 64;
 
-fn mode_name(mode: ScalingMode) -> &'static str {
-    match mode {
-        ScalingMode::ColorGuard => "colorguard",
-        ScalingMode::MultiProcess { .. } => "multiprocess",
-    }
-}
-
-/// Runs the full sweep — `cores_list` × {multiprocess, ColorGuard} ×
-/// {cold, warm-cache} — and renders it as deterministic JSON (fixed field
-/// order, fixed float precision): the contents of `BENCH_multicore.json`.
-/// Byte-identical for a given `(seed, duration_ms, cores_list)`.
-pub fn multicore_sweep_json(seed: u64, duration_ms: u64, cores_list: &[u32]) -> String {
-    let mut rows: Vec<(u32, &'static str, &'static str, MultiCoreReport)> = Vec::new();
-    for &cores in cores_list {
-        for mode in [ScalingMode::ColorGuard, ScalingMode::MultiProcess { processes: 15 }] {
-            for cache in [CacheMode::Cold, CacheMode::Warm] {
-                let mut cfg = MultiCoreConfig::paper_rig(
-                    FaasWorkload::HashLoadBalance,
-                    mode,
-                    cache,
-                    cores,
-                );
-                cfg.seed = seed;
-                cfg.duration_ms = duration_ms;
-                let r = simulate_multicore(&cfg);
-                rows.push((cores, mode_name(mode), cache.name(), r));
-            }
-        }
-    }
-
-    let find = |cores: u32, mode: &str, cache: &str| -> Option<&MultiCoreReport> {
-        rows.iter().find(|(c, m, ca, _)| *c == cores && *m == mode && *ca == cache).map(|r| &r.3)
-    };
-    let mean_spawn = |r: &MultiCoreReport| {
-        r.totals.spawn_ns as f64 / (r.totals.cold_spawns + r.totals.warm_spawns).max(1) as f64
-    };
-    let scaling_1_to_4 = match (find(1, "colorguard", "warm"), find(4, "colorguard", "warm")) {
-        (Some(a), Some(b)) if a.throughput_rps > 0.0 => b.throughput_rps / a.throughput_rps,
-        _ => 0.0,
-    };
-    let spawn_ratio = match (find(1, "colorguard", "cold"), find(1, "colorguard", "warm")) {
-        (Some(c), Some(w)) if mean_spawn(w) > 0.0 => mean_spawn(c) / mean_spawn(w),
-        _ => 0.0,
-    };
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"figX_multicore\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"duration_ms\": {duration_ms},\n"));
-    out.push_str("  \"workload\": \"hash_load_balance\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, (cores, mode, cache, r)) in rows.iter().enumerate() {
-        let steals: Vec<String> = r.per_core.iter().map(|m| m.steals.to_string()).collect();
-        out.push_str(&format!(
-            "    {{\"cores\": {cores}, \"mode\": \"{mode}\", \"cache\": \"{cache}\", \
-             \"offered\": {}, \"completed\": {}, \"throughput_rps\": {:.3}, \
-             \"steals\": {}, \"ctx_switches\": {}, \"dtlb_misses\": {}, \
-             \"cold_spawns\": {}, \"warm_spawns\": {}, \"recycles\": {}, \
-             \"spawn_ns\": {}, \"busy_ns\": {}, \"overhead_ns\": {}, \
-             \"mean_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \
-             \"per_core_steals\": [{}]}}{}\n",
-            r.offered,
-            r.completed,
-            r.throughput_rps,
-            r.totals.steals,
-            r.totals.ctx_switches,
-            r.totals.dtlb_misses,
-            r.totals.cold_spawns,
-            r.totals.warm_spawns,
-            r.totals.recycles,
-            r.totals.spawn_ns,
-            r.totals.busy_ns,
-            r.totals.overhead_ns,
-            r.mean_latency_ms,
-            r.p99_latency_ms,
-            steals.join(", "),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"derived\": {\n");
-    out.push_str(&format!(
-        "    \"warm_colorguard_scaling_1_to_4\": {scaling_1_to_4:.3},\n"
-    ));
-    out.push_str(&format!("    \"cold_over_warm_spawn_cost\": {spawn_ratio:.3}\n"));
-    out.push_str("  },\n");
-    // The merged registry snapshot for the headline configuration
-    // (ColorGuard, warm cache, most cores) — already deterministic JSON,
-    // embedded verbatim.
-    let max_cores = cores_list.iter().copied().max().unwrap_or(1);
-    let telemetry = find(max_cores, "colorguard", "warm")
-        .map(|r| r.telemetry_json.clone())
-        .unwrap_or_else(|| "{}".to_string());
-    out.push_str("  \"telemetry\": ");
-    for (i, line) in telemetry.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push_str("  ");
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.pop();
-    out.push('\n');
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the overload sweep — open-loop Poisson arrivals at each offered
-/// rate in `rates_rps`, multi-tenant QoS and admission control on
-/// ([`QosConfig::paper_rig`]), ColorGuard warm-cache on `cores` cores —
-/// and renders it as deterministic JSON (fixed field order, fixed float
-/// precision): the contents of `BENCH_overload.json`. Byte-identical for
-/// a given `(seed, duration_ms, cores, rates_rps)`.
-pub fn overload_sweep_json(seed: u64, duration_ms: u64, cores: u32, rates_rps: &[f64]) -> String {
-    let run = |rate: f64| {
-        let mut cfg = MultiCoreConfig::paper_rig(
-            FaasWorkload::HashLoadBalance,
-            ScalingMode::ColorGuard,
-            CacheMode::Warm,
-            cores,
-        );
-        cfg.seed = seed;
-        cfg.duration_ms = duration_ms;
-        cfg.arrivals = ArrivalModel::Poisson { rate_rps: rate };
-        cfg.qos = Some(QosConfig::paper_rig());
-        simulate_multicore(&cfg)
-    };
-    let rows: Vec<(f64, MultiCoreReport)> = rates_rps.iter().map(|&r| (r, run(r))).collect();
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"figX_overload\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"duration_ms\": {duration_ms},\n"));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str("  \"workload\": \"hash_load_balance\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, (rate, r)) in rows.iter().enumerate() {
-        let q = r.qos.as_ref().expect("qos enabled for every overload row");
-        let classes: Vec<String> = SloClass::ALL
-            .iter()
-            .enumerate()
-            .map(|(c, class)| {
-                let pc = q.per_class[c];
-                format!(
-                    "{{\"class\": \"{}\", \"offered\": {}, \"completed\": {}, \
-                     \"shed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                    class.name(),
-                    pc.offered,
-                    pc.completed,
-                    pc.shed,
-                    pc.p50_ms,
-                    pc.p99_ms,
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "    {{\"offered_rps\": {rate:.0}, \"offered\": {}, \"completed\": {}, \
-             \"goodput_rps\": {:.3}, \"shed_total\": {}, \"shed_rate\": {:.6}, \
-             \"occupancy\": {:.6}, \"p99_latency_ms\": {:.3}, \
-             \"classes\": [{}]}}{}\n",
-            r.offered,
-            r.completed,
-            q.goodput_rps,
-            q.shed_total,
-            q.shed_rate,
-            r.occupancy,
-            r.p99_latency_ms,
-            classes.join(", "),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // Derived saturation indicators: how the latency-sensitive class holds
-    // up as offered load runs past capacity, and who absorbs the shedding.
-    let light = &rows.first().expect("nonempty rate sweep").1;
-    let peak = &rows.last().expect("nonempty rate sweep").1;
-    let lq = light.qos.as_ref().expect("qos on");
-    let pq = peak.qos.as_ref().expect("qos on");
-    let ls = SloClass::LatencySensitive.idx();
-    let ls_p99_ratio = if lq.per_class[ls].p99_ms > 0.0 {
-        pq.per_class[ls].p99_ms / lq.per_class[ls].p99_ms
-    } else {
-        0.0
-    };
-    // Shed *rates* (shed ÷ offered per class), not absolute shares: the
-    // lowest-class-first contract is about how hard each class is hit
-    // relative to its own traffic, independent of the tenant mix.
-    let shed_rate = |c: SloClass| {
-        let pc = pq.per_class[c.idx()];
-        if pc.offered > 0 { pc.shed as f64 / pc.offered as f64 } else { 0.0 }
-    };
-    out.push_str("  \"derived\": {\n");
-    out.push_str(&format!("    \"ls_p99_peak_over_light\": {ls_p99_ratio:.3},\n"));
-    out.push_str(&format!(
-        "    \"batch_shed_rate_at_peak\": {:.3},\n",
-        shed_rate(SloClass::Batch)
-    ));
-    out.push_str(&format!(
-        "    \"standard_shed_rate_at_peak\": {:.3},\n",
-        shed_rate(SloClass::Standard)
-    ));
-    out.push_str(&format!(
-        "    \"ls_shed_at_peak\": {},\n",
-        pq.per_class[ls].shed
-    ));
-    out.push_str(&format!("    \"peak_goodput_rps\": {:.3}\n", pq.goodput_rps));
-    out.push_str("  },\n");
-
-    // The merged registry snapshot for the saturated headline run (highest
-    // offered rate) — already deterministic JSON, embedded verbatim.
-    out.push_str("  \"telemetry\": ");
-    for (i, line) in peak.telemetry_json.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push_str("  ");
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.pop();
-    out.push('\n');
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfi_telemetry::json_snapshot;
 
     fn quick(mode: ScalingMode, cache: CacheMode, cores: u32) -> MultiCoreReport {
         let mut cfg = MultiCoreConfig::paper_rig(FaasWorkload::HashLoadBalance, mode, cache, cores);
@@ -1148,18 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_json_is_byte_identical_across_runs() {
-        let a = multicore_sweep_json(7, 60, &[1, 2]);
-        let b = multicore_sweep_json(7, 60, &[1, 2]);
-        assert_eq!(a, b);
-        assert!(a.contains("\"cores\": 2"));
-        assert!(a.contains("\"derived\""));
-        assert!(a.contains("\"telemetry\""));
-        assert!(a.contains("sfi_shard_completed_total"));
-        assert!(sfi_telemetry::json_is_valid(&a), "sweep JSON must stay parseable");
-    }
-
-    #[test]
     fn traces_are_recorded_and_deterministic() {
         // Spawn events all land in the first milliseconds (before the color
         // pool saturates and admissions shift to recycles), so use a ring
@@ -1178,7 +936,7 @@ mod tests {
         let a = deep(());
         let b = deep(());
         assert_eq!(a.traces, b.traces, "same seed, same traces");
-        assert_eq!(a.telemetry_json, b.telemetry_json);
+        assert_eq!(json_snapshot(&a.registry), json_snapshot(&b.registry));
         assert_eq!(a.traces.len(), 4, "one trace ring per core");
         let all: Vec<&TraceEvent> = a.traces.iter().flatten().collect();
         assert!(!all.is_empty());
@@ -1189,7 +947,7 @@ mod tests {
         for ring in &a.traces {
             assert!(ring.windows(2).all(|w| w[0].tick <= w[1].tick));
         }
-        assert!(a.telemetry_json.contains("sfi_shard_steals_total"));
+        assert!(json_snapshot(&a.registry).contains("sfi_shard_steals_total"));
     }
 
     #[test]
@@ -1225,7 +983,7 @@ mod tests {
         assert!(ls.completed > 0);
         assert!(q.shed_total > 0 && q.shed_rate > 0.0 && q.goodput_rps > 0.0);
         assert!((a.occupancy - 1.0).abs() < 1e-9, "overload pins occupancy at 1.0");
-        assert!(a.telemetry_json.contains("sfi_qos_shed_total"));
+        assert!(json_snapshot(&a.registry).contains("sfi_qos_shed_total"));
         assert!(a.traces.iter().flatten().any(|e| e.kind == TraceKind::Shed));
     }
 
@@ -1248,7 +1006,7 @@ mod tests {
         assert_eq!(off.offered, on.offered);
         assert!(off.qos.is_none());
         assert!(
-            !off.telemetry_json.contains("sfi_qos_"),
+            !json_snapshot(&off.registry).contains("sfi_qos_"),
             "legacy configs must not grow new series"
         );
         // Under closed-loop saturation the QoS engine completes work too.
@@ -1307,8 +1065,9 @@ mod tests {
                 }
             }
         };
-        assert_eq!(modeled(&off.telemetry_json), modeled(&on.telemetry_json));
-        assert!(on.telemetry_json.contains("sfi_shard_span_events_total"));
+        let (off_json, on_json) = (json_snapshot(&off.registry), json_snapshot(&on.registry));
+        assert_eq!(modeled(&off_json), modeled(&on_json));
+        assert!(on_json.contains("sfi_shard_span_events_total"));
         assert!(off.traces.iter().flatten().all(|e| e.kind != TraceKind::Flow));
         assert_eq!(off.exemplars, BucketExemplars::new(), "no exemplars without spans");
 

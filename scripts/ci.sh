@@ -83,6 +83,11 @@ cargo run -q --offline --release -p sfi-bench --bin figX_profile -- --check
 echo "== spectre matrix: leak gates, genprog sweep, mitigation frontier, determinism =="
 cargo run -q --offline --release -p sfi-bench --bin figX_spectre -- --check
 
+echo "== artifact drift: every BENCH_*.json regenerated above matches the committed (or staged) file =="
+# A change that moves an artifact byte must re-record it in the same commit.
+# TRACE_multicore.json is gitignored, so there is no committed copy to diff.
+git diff --exit-code -- 'BENCH_*.json'
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

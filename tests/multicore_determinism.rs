@@ -4,8 +4,9 @@
 //! makes `BENCH_multicore.json` reviewable in diffs.
 
 use segue_colorguard::faas::{
-    multicore_sweep_json, simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode,
+    simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode,
 };
+use sfi_bench::MulticoreSweep;
 
 const SEED: u64 = 0xD15EA5E;
 
@@ -58,8 +59,8 @@ fn the_seed_is_live() {
 /// including float formatting.
 #[test]
 fn sweep_json_is_byte_identical_for_the_same_seed() {
-    let a = multicore_sweep_json(SEED, 100, &[1, 4, 8]);
-    let b = multicore_sweep_json(SEED, 100, &[1, 4, 8]);
+    let a = MulticoreSweep::run(SEED, 100, &[1, 4, 8]).artifact().render();
+    let b = MulticoreSweep::run(SEED, 100, &[1, 4, 8]).artifact().render();
     assert_eq!(a, b);
     assert!(a.contains("\"cores\": 8"), "sweep covers 8 cores");
 }
