@@ -132,23 +132,23 @@ fn check() {
     let served = serve_background(0, ServeEngine::new(cfg.clone())).expect("bind");
     let addr = served.addr.clone();
 
-    // Run rounds, draining /trace incrementally after each one.
+    // Run rounds, draining /trace incrementally after each one. The served
+    // body must be the engine's own render at that cursor; the cursor and
+    // the drop count come from the engine's typed drain of its stream.
     let mut cursor = 0u64;
     let mut streamed: Vec<String> = Vec::new();
     for _ in 0..CHECK_ROUNDS {
         served.lock().run_round();
         let (status, body) = http_get(&addr, &format!("/trace?since={cursor}")).expect("trace");
         assert_eq!(status, 200, "/trace must respond");
-        let mut lines = body.lines();
-        let head = lines.next().expect("metadata line");
-        assert!(head.contains("\"dropped\": 0"), "stream deep enough: {head}");
-        cursor = head
-            .split("\"next\": ")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.parse().ok())
-            .expect("next cursor");
-        streamed.extend(lines.map(str::to_owned));
+        let (rendered, drained) = {
+            let engine = served.lock();
+            (engine.trace_body(cursor), engine.stream().events_since(cursor))
+        };
+        assert_eq!(body, rendered, "/trace?since={cursor} must serve the engine's render");
+        assert_eq!(drained.dropped, 0, "stream deep enough at cursor {cursor}");
+        cursor = drained.next;
+        streamed.extend(body.lines().skip(1).map(str::to_owned));
     }
 
     // 1. Every endpoint in the table responds; every JSON body is valid.

@@ -22,8 +22,12 @@ fn main() {
     let mut telemetry = Registry::new();
     telemetry.merge_from(&sim_registry(&cg, &[("mode", "colorguard")]));
     let mut rows = Vec::new();
+    let mut mp15 = None;
     for k in [1u32, 2, 4, 6, 8, 10, 12, 15] {
         let mp = simulate(&SimConfig::paper_rig(w, ScalingMode::MultiProcess { processes: k }));
+        if k == 15 {
+            mp15 = Some(mp);
+        }
         let procs = k.to_string();
         telemetry
             .merge_from(&sim_registry(&mp, &[("mode", "multiprocess"), ("processes", &procs)]));
@@ -56,9 +60,17 @@ fn main() {
     .write("BENCH_fig7.json");
 
     println!("\nAll three workloads behave alike; per-workload numbers at 15 processes:");
+    let mp15 = mp15.expect("the sweep ends at 15 processes");
     for wl in FaasWorkload::ALL {
-        let cg = simulate(&SimConfig::paper_rig(wl, ScalingMode::ColorGuard));
-        let mp = simulate(&SimConfig::paper_rig(wl, ScalingMode::MultiProcess { processes: 15 }));
+        // The sweep's workload was just simulated at both points.
+        let (cg, mp) = if wl == w {
+            (cg, mp15)
+        } else {
+            (
+                simulate(&SimConfig::paper_rig(wl, ScalingMode::ColorGuard)),
+                simulate(&SimConfig::paper_rig(wl, ScalingMode::MultiProcess { processes: 15 })),
+            )
+        };
         println!(
             "  {:>18}: mp {:>4.0}K switches / {:>5.1}M dTLB misses;  cg {:>4.0}K / {:>4.1}M",
             wl.name(),

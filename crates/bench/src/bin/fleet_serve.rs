@@ -173,15 +173,14 @@ fn check() {
     //    the injected-fault series (modeled snapshots byte-equal; the meta
     //    fault counters differ).
     assert_eq!(snapshot, quiet_snapshot, "chaos leaked into the modeled snapshot");
-    let chaos_metrics = fleet.metrics_text();
-    let quiet_metrics = quiet.metrics_text();
+    let (chaos_meta, quiet_meta) = (fleet.supervision_registry(), quiet.supervision_registry());
     for kind in ["mid_round_panic", "hang_on_accept", "torn_response"] {
         let series = format!("sfi_fleet_member_faults_total{{kind=\"{kind}\"}}");
-        assert!(chaos_metrics.contains(&format!("{series} 1")), "{series} missing");
-        assert!(quiet_metrics.contains(&format!("{series} 0")), "quiet {series} not zero");
+        assert_eq!(chaos_meta.counter_value(&series), Some(1), "{series}");
+        assert_eq!(quiet_meta.counter_value(&series), Some(0), "quiet {series}");
     }
-    assert!(chaos_metrics.contains("sfi_fleet_restarts_total 1"));
-    assert!(quiet_metrics.contains("sfi_fleet_restarts_total 0"));
+    assert_eq!(chaos_meta.counter_value("sfi_fleet_restarts_total"), Some(1));
+    assert_eq!(quiet_meta.counter_value("sfi_fleet_restarts_total"), Some(0));
 
     // 5. The recovery timeline is byte-reproducible: a second chaos run
     //    with the same plan replays the identical supervision trace.
@@ -211,7 +210,11 @@ fn check() {
         assert!(ep == "/metrics" || ep == "/trace" || json_is_valid(&body), "{ep}: {body}");
         bodies.insert(ep, body);
     }
-    assert!(bodies["/fleet"].contains("\"members_live\": 4"), "{}", bodies["/fleet"]);
+    {
+        let sup = served.lock();
+        assert_eq!(bodies["/fleet"], sup.fleet_json(), "/fleet must serve the fleet's render");
+        assert_eq!(sup.members_live(), CHECK_MEMBERS as usize, "every served member live");
+    }
     assert_eq!(bodies["/snapshot"], snapshot, "served snapshot must equal the in-process run");
     assert!(bodies["/metrics"].contains("engine=\"3\""), "member labels must survive the wire");
     assert!(bodies["/metrics"].contains("sfi_fleet_polls_total"));

@@ -927,6 +927,13 @@ impl FleetSupervisor {
         merged
     }
 
+    /// The fleet meta registry: supervision counters (rounds, polls,
+    /// member faults by kind, restarts, retirements, scaling) and the
+    /// live-member gauge, as `/metrics` exports them.
+    pub fn supervision_registry(&self) -> &Registry {
+        &self.reg
+    }
+
     /// `/metrics`: Prometheus text of the federated modeled registry plus
     /// the fleet meta registry, the scrape counters and the fleet rules'
     /// derived series.

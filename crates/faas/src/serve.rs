@@ -668,6 +668,12 @@ impl ServeEngine {
         f
     }
 
+    /// `/trace?since=<cursor>`: the body the endpoint serves
+    /// ([`ScrapePlane`] renders it).
+    pub fn trace_body(&self, since: u64) -> String {
+        self.plane.trace_body(since)
+    }
+
     /// The post-mortem batch export of the full retained stream — the
     /// byte-identity reference for incremental `/trace` drains.
     pub fn trace_batch(&self) -> String {
@@ -786,13 +792,10 @@ mod tests {
         for _ in 0..3 {
             eng.run_round();
             let body = eng.plane.trace_body(cursor);
-            let mut it = body.lines();
-            let head = it.next().unwrap();
-            assert!(head.contains("\"dropped\": 0"), "{head}");
-            let next_str =
-                head.split("\"next\": ").nth(1).unwrap().split(',').next().unwrap();
-            cursor = next_str.parse().unwrap();
-            lines.extend(it.map(str::to_owned));
+            let drained = eng.stream().events_since(cursor);
+            assert_eq!(drained.dropped, 0, "cursor {cursor}");
+            cursor = drained.next;
+            lines.extend(body.lines().skip(1).map(str::to_owned));
         }
         assert_eq!(cursor, eng.stream().total_recorded());
         assert_eq!(chrome_trace_wrap(&lines), eng.trace_batch());

@@ -19,7 +19,13 @@ pub struct Cache {
     clock: u64,
     accesses: u64,
     misses: u64,
+    /// The line of the most recent access, or [`NO_LINE`] after a flush.
+    mru: u64,
 }
+
+/// The `mru` memo's empty value: the marker `tags` uses for an invalid
+/// way, so no resident line carries it.
+const NO_LINE: u64 = u64::MAX;
 
 impl Cache {
     /// Creates a cache of `size_bytes` with `ways`-way associativity and
@@ -43,6 +49,7 @@ impl Cache {
             clock: 0,
             accesses: 0,
             misses: 0,
+            mru: NO_LINE,
         }
     }
 
@@ -58,10 +65,19 @@ impl Cache {
 
     /// Accesses `addr`; returns `true` on a hit. Spanning accesses should
     /// call this once per touched line (see [`Cache::access_range`]).
+    ///
+    /// A repeat of the most recent line hits without touching its stamp.
+    /// That is exact: the line already holds the newest stamp in its set,
+    /// and every later access stamps higher, so the set's LRU order — and
+    /// every future victim — is what the stamp update would have left.
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         self.clock += 1;
         let line = addr >> self.line_shift;
+        if line == self.mru {
+            return true;
+        }
+        self.mru = line;
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
@@ -131,6 +147,7 @@ impl Cache {
         self.clock = 0;
         self.accesses = 0;
         self.misses = 0;
+        self.mru = NO_LINE;
     }
 
     /// Invalidates all lines but keeps counters (models a cache flushed by a
@@ -138,6 +155,7 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
+        self.mru = NO_LINE;
     }
 
     /// Line size in bytes.
@@ -192,6 +210,140 @@ mod tests {
         assert_eq!(c.misses(), 1);
         assert!(!c.access(0), "flushed line must miss again");
         assert_eq!(c.misses(), 2);
+    }
+
+    /// The pre-fast-path algorithm, kept verbatim as the oracle: every hit
+    /// re-stamps its way, nothing is memoized.
+    struct ReferenceLru {
+        line_shift: u32,
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> ReferenceLru {
+            let sets = size_bytes / (ways * line_bytes);
+            ReferenceLru {
+                line_shift: line_bytes.trailing_zeros(),
+                sets,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                stamps: vec![0; sets * ways],
+                clock: 0,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.accesses += 1;
+            self.clock += 1;
+            let line = addr >> self.line_shift;
+            let base = ((line as usize) & (self.sets - 1)) * self.ways;
+            if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == line) {
+                self.stamps[base + w] = self.clock;
+                return true;
+            }
+            self.misses += 1;
+            let mut victim = 0;
+            let mut best = u64::MAX;
+            for w in 0..self.ways {
+                if self.tags[base + w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.stamps[base + w] < best {
+                    best = self.stamps[base + w];
+                    victim = w;
+                }
+            }
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.clock;
+            false
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+        }
+    }
+
+    /// Replays a seeded stream — repeats of the last line, lines that
+    /// conflict in one set, scattered lines, and flushes — through `Cache`
+    /// (flushed by `flush`) and the reference. Returns the first step whose
+    /// hit/miss answer or counters disagree.
+    fn first_divergence(
+        seed: u64,
+        geometry: (usize, usize),
+        flush: fn(&mut Cache),
+    ) -> Option<usize> {
+        let (size, ways) = geometry;
+        let mut cache = Cache::new(size, ways, 64);
+        let mut reference = ReferenceLru::new(size, ways, 64);
+        let set_stride = (size / ways) as u64;
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut last = 0u64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = match x % 100 {
+                0..=1 => {
+                    flush(&mut cache);
+                    reference.flush();
+                    continue;
+                }
+                2..=49 => last + (x >> 8) % 64,
+                50..=79 => (x >> 8) % (ways as u64 + 2) * set_stride + (x >> 32) % 64,
+                _ => (x >> 8) % (4 * size as u64),
+            };
+            last = addr & !63;
+            if cache.access(addr) != reference.access(addr)
+                || (cache.accesses(), cache.misses()) != (reference.accesses, reference.misses)
+            {
+                return Some(step);
+            }
+        }
+        None
+    }
+
+    const GEOMETRIES: [(usize, usize); 3] = [(512, 2), (1024, 4), (32 * 1024, 8)];
+
+    #[test]
+    fn mru_fast_path_matches_true_lru() {
+        for geometry in GEOMETRIES {
+            for seed in 0..16 {
+                assert_eq!(
+                    first_divergence(seed, geometry, Cache::flush),
+                    None,
+                    "{geometry:?} seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_catches_a_memo_that_survives_flush() {
+        // The seeded bug: a flush that forgets to clear the memo lets the
+        // next access to the last line hit a cache that no longer holds it.
+        fn stale_flush(c: &mut Cache) {
+            let mru = c.mru;
+            c.flush();
+            c.mru = mru;
+        }
+        for geometry in GEOMETRIES {
+            for seed in 0..16 {
+                assert!(
+                    first_divergence(seed, geometry, stale_flush).is_some(),
+                    "{geometry:?} seed {seed}: the stale memo went unnoticed"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,12 @@
 //!
 //! All parameters are public so ablation benchmarks can vary them.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::encode::Encoded;
 use crate::inst::ShiftAmount;
-use crate::{Inst, Width};
+use crate::{Inst, Program, Width};
 
 /// Tunable cost parameters (cycles unless noted).
 #[derive(Debug, Clone, PartialEq)]
@@ -146,6 +150,104 @@ impl CostModel {
     #[inline]
     pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
         cycles / self.freq_ghz
+    }
+}
+
+/// The image-pure part of one instruction's charge: everything
+/// [`CostModel`] derives from the instruction and its encoded length alone.
+#[derive(Debug, Clone, Copy)]
+pub struct InstCost {
+    /// [`CostModel::throughput_cycles`] at the instruction's encoded length.
+    pub throughput: f64,
+    /// [`CostModel::serial_cycles`].
+    pub serial: f64,
+    /// µops a transient window spends on the instruction:
+    /// [`CostModel::uops`] rounded up, at least one.
+    pub spec_uops: u32,
+    /// Encoded length in bytes (the fetch the instruction occupies).
+    pub bytes: u32,
+}
+
+/// Per-instruction costs of one encoded program under one [`CostModel`]:
+/// the timing table, kept apart from the decoded instructions.
+///
+/// Each instruction stores a 4-byte class index into a deduplicated list of
+/// [`InstCost`] entries (a program has a few dozen distinct ones), so the
+/// emulator's per-instruction path reads two small arrays instead of
+/// re-deriving the costs on every retirement. Entries are computed by the
+/// same [`CostModel`] methods, so they equal them bit for bit.
+#[derive(Debug, Clone)]
+pub struct CostTable {
+    model: CostModel,
+    class: Vec<u32>,
+    classes: Vec<InstCost>,
+}
+
+impl CostTable {
+    /// Builds the table of `program` (laid out as `encoded`) under `model`.
+    /// Deduplication is one hash lookup per instruction.
+    pub(crate) fn build(model: &CostModel, program: &Program, encoded: &Encoded) -> CostTable {
+        let mut index: HashMap<[u64; 3], u32, BuildHasherDefault<FoldHasher>> = HashMap::default();
+        let mut classes = Vec::new();
+        let class = program
+            .insts()
+            .iter()
+            .enumerate()
+            .map(|(pc, inst)| {
+                let bytes = encoded.inst_len(pc);
+                let cost = InstCost {
+                    throughput: model.throughput_cycles(inst, bytes),
+                    serial: model.serial_cycles(inst),
+                    spec_uops: model.uops(inst).ceil().max(1.0) as u32,
+                    bytes: bytes as u32,
+                };
+                let key = [
+                    cost.throughput.to_bits(),
+                    cost.serial.to_bits(),
+                    u64::from(cost.spec_uops) << 32 | u64::from(cost.bytes),
+                ];
+                *index.entry(key).or_insert_with(|| {
+                    classes.push(cost);
+                    (classes.len() - 1) as u32
+                })
+            })
+            .collect();
+        CostTable { model: model.clone(), class, classes }
+    }
+
+    /// The model the table was built under.
+    pub fn model(&self) -> &CostModel {
+        &self.model
+    }
+
+    /// The costs of instruction `pc`.
+    #[inline]
+    pub fn get(&self, pc: usize) -> &InstCost {
+        &self.classes[self.class[pc] as usize]
+    }
+}
+
+/// A multiply-fold hasher for [`CostTable::build`]'s keys. They come from
+/// the image itself, so SipHash's flood resistance buys nothing, and it
+/// would cost more than computing the entry does.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -30,7 +30,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::cache::Cache;
-use crate::cost::{CostModel, RunStats};
+use crate::cost::{CostModel, CostTable, RunStats};
 use crate::encode::{encode_program, EncodeError, Encoded};
 use crate::inst::{AluOp, ShiftAmount, ShiftOp};
 use crate::{Cond, Gpr, Inst, Mem, MemFault, Program, Seg, Trap, Width, Xmm};
@@ -324,18 +324,22 @@ impl RegFile {
     }
 }
 
-/// A program paired with its encoded byte layout.
+/// A program paired with its encoded byte layout and its cost table.
 #[derive(Debug, Clone)]
 pub struct Image {
     program: Program,
     encoded: Encoded,
+    costs: CostTable,
 }
 
 impl Image {
-    /// Encodes `program` (with branch relaxation) and pairs it for execution.
+    /// Encodes `program` (with branch relaxation) and pairs it for execution,
+    /// with its cost table under [`CostModel::default`]. A machine running
+    /// another model builds that model's table for the run.
     pub fn load(program: Program) -> Result<Image, EncodeError> {
         let encoded = encode_program(&program)?;
-        Ok(Image { program, encoded })
+        let costs = CostTable::build(&CostModel::default(), &program, &encoded);
+        Ok(Image { program, encoded, costs })
     }
 
     /// The program.
@@ -351,6 +355,11 @@ impl Image {
     /// Total code size in bytes.
     pub fn code_size(&self) -> usize {
         self.encoded.len()
+    }
+
+    /// The per-instruction cost table under [`CostModel::default`].
+    pub fn costs(&self) -> &CostTable {
+        &self.costs
     }
 }
 
@@ -649,7 +658,16 @@ impl Machine {
             btb: HashMap::new(),
         };
         let mut path = Path::<false> { stack: Vec::with_capacity(64), ..Path::default() };
-        self.exec(image, entry, &mut bp, &mut path, &mut stats, bus, host)?;
+        // The image's table holds the default model's costs; any other
+        // model (an ablation, a perturbed model) gets its own for this run.
+        let rebuilt;
+        let costs = if *image.costs.model() == self.cost {
+            &image.costs
+        } else {
+            rebuilt = CostTable::build(&self.cost, &image.program, &image.encoded);
+            &rebuilt
+        };
+        self.exec(image, costs, entry, &mut bp, &mut path, &mut stats, bus, host)?;
         // Finalize total cycles *from* the buckets so the sum invariant
         // (`attributed_cycles() == cycles`) holds bit-for-bit on every
         // successful return; see DESIGN.md §14.
@@ -666,6 +684,7 @@ impl Machine {
     fn exec<const SPEC: bool, M: MemBus>(
         &mut self,
         image: &Image,
+        costs: &CostTable,
         mut pc: usize,
         bp: &mut Predictors,
         path: &mut Path<SPEC>,
@@ -694,20 +713,20 @@ impl Machine {
                 return Err(Trap::FuelExhausted);
             }
             let inst = &insts[pc];
-            let ilen = enc.inst_len(pc);
+            let cost = costs.get(pc);
             // Miss counters before this instruction: the deltas after the
             // dispatch below reconstruct exactly the penalty cycles it was
             // charged (each miss adds one fixed `*_miss_cycles` constant).
             let miss0 = (stats.icache_misses, stats.dcache_misses, stats.branch_misses);
-            let mut cycles = self.cost.throughput_cycles(inst, ilen);
+            let mut cycles = cost.throughput;
             if SPEC {
-                let uops = self.cost.uops(inst).ceil().max(1.0) as u64;
+                let uops = u64::from(cost.spec_uops);
                 fuel = fuel.saturating_sub(uops);
                 stats.spec_uops += uops;
             } else {
                 fuel -= 1;
                 stats.insts += 1;
-                stats.code_bytes_fetched += ilen as u64;
+                stats.code_bytes_fetched += u64::from(cost.bytes);
             }
             // Wrong-path fetches touch the I-cache too (the footprint
             // persists); only committed misses are counted and charged.
@@ -963,7 +982,7 @@ impl Machine {
                                 Some(pc + 1)
                             };
                             if let Some(start) = wrong {
-                                self.transient_window(image, start, bp, stats, bus, host);
+                                self.transient_window(image, costs, start, bp, stats, bus, host);
                             }
                         }
                     }
@@ -1001,7 +1020,7 @@ impl Machine {
                             // channel.
                             if let Some(old) = prev {
                                 if self.spec.is_some() {
-                                    self.transient_window(image, old, bp, stats, bus, host);
+                                    self.transient_window(image, costs, old, bp, stats, bus, host);
                                 }
                             }
                         }
@@ -1107,19 +1126,26 @@ impl Machine {
                 Inst::Nop => {}
             }
             if !SPEC {
-                cycles += self.cost.serial_cycles(inst);
+                cycles += cost.serial;
                 // Attribution: split this instruction's charge into its
                 // microarchitectural penalties (reconstructed from the miss
                 // deltas) and the remainder, which lands in the bucket of
                 // the provenance class the compiler tagged the instruction
-                // with.
-                let pen_i = (stats.icache_misses - miss0.0) as f64 * self.cost.icache_miss_cycles;
-                let pen_d = (stats.dcache_misses - miss0.1) as f64 * self.cost.dcache_miss_cycles;
-                let pen_b = (stats.branch_misses - miss0.2) as f64 * self.cost.branch_miss_cycles;
-                stats.icache_penalty_cycles += pen_i;
-                stats.dcache_penalty_cycles += pen_d;
-                stats.branch_penalty_cycles += pen_b;
-                stats.prov_cycles[prog.prov_at(pc).index()] += cycles - (pen_i + pen_d + pen_b);
+                // with. With no miss the penalties are `+0.0` each, so the
+                // whole charge goes to the bucket unchanged (DESIGN.md §14).
+                if miss0 != (stats.icache_misses, stats.dcache_misses, stats.branch_misses) {
+                    let pen_i =
+                        (stats.icache_misses - miss0.0) as f64 * self.cost.icache_miss_cycles;
+                    let pen_d =
+                        (stats.dcache_misses - miss0.1) as f64 * self.cost.dcache_miss_cycles;
+                    let pen_b =
+                        (stats.branch_misses - miss0.2) as f64 * self.cost.branch_miss_cycles;
+                    stats.icache_penalty_cycles += pen_i;
+                    stats.dcache_penalty_cycles += pen_d;
+                    stats.branch_penalty_cycles += pen_b;
+                    cycles -= pen_i + pen_d + pen_b;
+                }
+                stats.prov_cycles[prog.prov_at(pc).index()] += cycles;
             }
             if finished {
                 break;
@@ -1152,9 +1178,11 @@ impl Machine {
     /// stays out of the committed loop's body.
     #[cold]
     #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     fn transient_window<M: MemBus>(
         &mut self,
         image: &Image,
+        costs: &CostTable,
         start: usize,
         bp: &mut Predictors,
         stats: &mut RunStats,
@@ -1170,7 +1198,7 @@ impl Machine {
             ..Path::default()
         };
         // The window's end (its first stop) is all an `Err` means here.
-        let _ = self.exec(image, start, bp, &mut path, stats, bus, host);
+        let _ = self.exec(image, costs, start, bp, &mut path, stats, bus, host);
         self.regs = committed;
     }
 
@@ -1608,11 +1636,7 @@ mod tests {
         p.push(Inst::MovRI { dst: Gpr::Rcx, imm: 4096, width: Width::Q });
         p.push(Inst::MovRI { dst: Gpr::Rbx, imm: 0, width: Width::Q });
         let top = p.here();
-        p.push(Inst::Load {
-            dst: Gpr::Rax,
-            mem: Mem::base(Gpr::Rbx),
-            width: Width::Q,
-        });
+        p.push(Inst::Load { dst: Gpr::Rax, mem: Mem::base(Gpr::Rbx), width: Width::Q });
         p.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Rbx, imm: 64, width: Width::Q });
         p.push(Inst::AluRI { op: AluOp::Sub, dst: Gpr::Rcx, imm: 1, width: Width::Q });
         p.push(Inst::Jcc { cond: Cond::Ne, target: top });
