@@ -18,14 +18,15 @@
 //! without a name collision, and the exported latency histograms must
 //! count every completed request.
 
+use sfi_bench::sweep::trace_json;
 use sfi_bench::{check_overhead, row, MulticoreSweep, OVERHEAD_BUDGET};
 use sfi_faas::{simulate_multicore, CacheMode, MultiCoreConfig, ScalingMode};
 use sfi_runtime::RuntimeTelemetry;
-use sfi_telemetry::{chrome_trace, json_is_valid};
+use sfi_telemetry::json_is_valid;
 
-const SEED: u64 = 0x5E65E9;
-const DURATION_MS: u64 = 400;
-const CORES: [u32; 4] = [1, 2, 4, 8];
+const SEED: u64 = MulticoreSweep::SEED;
+const DURATION_MS: u64 = MulticoreSweep::DURATION_MS;
+const CORES: [u32; 4] = MulticoreSweep::CORES;
 
 fn check(sweep: &MulticoreSweep, json: &str) {
     let rerun = MulticoreSweep::run(SEED, DURATION_MS, &CORES).artifact().render();
@@ -158,11 +159,10 @@ fn main() {
         );
     }
     // Render the headline run's flight-recorder rings for about:tracing.
-    let events: Vec<_> = sweep.headline().traces.iter().flatten().copied().collect();
-    // Trace ticks are already simulated nanoseconds.
-    let trace = chrome_trace(&events, 1.0);
+    let trace = trace_json(sweep.headline());
     std::fs::write("TRACE_multicore.json", &trace).expect("write TRACE_multicore.json");
-    println!("\nwrote TRACE_multicore.json ({} events)", events.len());
+    let events: usize = sweep.headline().traces.iter().map(Vec::len).sum();
+    println!("\nwrote TRACE_multicore.json ({events} events)");
 
     if check_mode {
         check(&sweep, &artifact.render());

@@ -31,7 +31,7 @@
 pub mod artifact;
 pub mod sweep;
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use artifact::{Artifact, Json, Obj};
 pub use sweep::{MulticoreSweep, OverloadSweep};
@@ -153,28 +153,28 @@ pub fn row(cells: &[impl AsRef<str>], widths: &[usize]) {
 /// best-of-3 wall clock.
 pub const OVERHEAD_BUDGET: f64 = 1.35;
 
-/// The wall-clock overhead gate: times the workload `setup(false)` returns
-/// three times, then the one `setup(true)` returns three times (set-up is
+/// The wall-clock overhead gate: times the workloads `setup(false)` and
+/// `setup(true)` return, alternating off and on for three rounds (set-up is
 /// untimed), and requires the best observed-on time to stay within
-/// [`OVERHEAD_BUDGET`] of the best observed-off time. Returns the factor.
+/// [`OVERHEAD_BUDGET`] of the best observed-off time. Alternating keeps a
+/// warm-up or a burst of machine load from landing on one side only.
+/// Returns the factor.
 ///
 /// # Panics
 ///
 /// Naming `label`, the factor and both times, when the budget is exceeded.
 pub fn check_overhead<W: FnOnce()>(label: &str, mut setup: impl FnMut(bool) -> W) -> f64 {
-    let mut best_of_3 = |on: bool| {
-        (0..3)
-            .map(|_| {
-                let workload = setup(on);
-                let t0 = Instant::now();
-                workload();
-                t0.elapsed()
-            })
-            .min()
-            .expect("three timed runs")
-    };
-    let off_t = best_of_3(false);
-    let on_t = best_of_3(true);
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..3 {
+        for on in [false, true] {
+            let workload = setup(on);
+            let t0 = Instant::now();
+            workload();
+            let side = &mut best[usize::from(on)];
+            *side = (*side).min(t0.elapsed());
+        }
+    }
+    let [off_t, on_t] = best;
     let factor = on_t.as_secs_f64() / off_t.as_secs_f64().max(1e-9);
     assert!(
         factor <= OVERHEAD_BUDGET,

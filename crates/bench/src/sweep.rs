@@ -6,7 +6,7 @@ use sfi_faas::{
     ArrivalModel, CacheMode, FaasWorkload, MultiCoreConfig, MultiCoreReport, QosConfig,
     QosReport, ScalingMode, SloClass,
 };
-use sfi_telemetry::json_snapshot;
+use sfi_telemetry::{chrome_trace, json_snapshot};
 
 use crate::{Artifact, Json, Obj};
 
@@ -44,6 +44,14 @@ pub struct MulticoreSweep {
 }
 
 impl MulticoreSweep {
+    /// The seed `BENCH_multicore.json` and `TRACE_multicore.json` are
+    /// recorded at.
+    pub const SEED: u64 = 0x5E65E9;
+    /// Their modeled duration per run.
+    pub const DURATION_MS: u64 = 400;
+    /// Their core counts.
+    pub const CORES: [u32; 4] = [1, 2, 4, 8];
+
     /// Runs the sweep. A pure function of its arguments.
     pub fn run(seed: u64, duration_ms: u64, cores_list: &[u32]) -> MulticoreSweep {
         let mut rows = Vec::new();
@@ -71,6 +79,14 @@ impl MulticoreSweep {
     pub fn headline(&self) -> &MultiCoreReport {
         let cores = self.rows.iter().map(|r| r.cores).max().expect("nonempty sweep");
         self.colorguard(cores, CacheMode::Warm).expect("headline run")
+    }
+
+    /// The headline run alone, without the rest of the sweep: the report
+    /// [`MulticoreSweep::headline`] returns for a sweep whose largest core
+    /// count is `cores`.
+    pub fn headline_run(seed: u64, duration_ms: u64, cores: u32) -> MultiCoreReport {
+        let cfg = rig(ScalingMode::ColorGuard, CacheMode::Warm, cores, seed, duration_ms);
+        sfi_faas::simulate_multicore(&cfg)
     }
 
     /// Warm ColorGuard throughput at 4 cores over 1 core (0 when missing).
@@ -140,6 +156,14 @@ impl MulticoreSweep {
                 .with("telemetry", Json::raw(json_snapshot(&self.headline().registry))),
         )
     }
+}
+
+/// `TRACE_multicore.json`'s text for `report`: its flight-recorder rings,
+/// core by core, as a chrome://tracing (`about:tracing`) event stream.
+/// Trace ticks are already simulated nanoseconds.
+pub fn trace_json(report: &MultiCoreReport) -> String {
+    let events: Vec<_> = report.traces.iter().flatten().copied().collect();
+    chrome_trace(&events, 1.0)
 }
 
 /// One open-loop run of the overload sweep (QoS on).

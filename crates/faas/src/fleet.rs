@@ -87,8 +87,9 @@ pub struct FleetConfig {
     /// Aggregator poll schedule: bounded attempts with exponential
     /// backoff, charged to the virtual clock.
     pub retry: RetryPolicy,
-    /// Capacity of the fleet's supervision trace ring (fault events are
-    /// pinned past it: [`sfi_telemetry::Retention::PinFaults`]).
+    /// Capacity of the fleet's supervision trace ring (up to 1/16 as many
+    /// fault events are pinned past it:
+    /// [`sfi_telemetry::Retention::PinFaults`]).
     pub stream_capacity: usize,
     /// Elastic sizing on sustained occupancy crossings; `None` (the
     /// default) keeps the fleet static, byte-identical to the pre-elastic

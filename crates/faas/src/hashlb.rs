@@ -52,14 +52,19 @@ impl HashRing {
         HashRing { points, backends }
     }
 
+    /// The index, in the backend list given to [`HashRing::new`], of the
+    /// backend for `key`.
+    pub fn route_index(&self, key: &str) -> usize {
+        let h = avalanche(fnv1a(key.as_bytes()));
+        let idx = self.points.partition_point(|&(p, _)| p < h);
+        self.points[idx % self.points.len()].1 as usize
+    }
+
     /// Picks the backend for `key`; also returns the hash-work units
     /// (bytes hashed + probe steps) for cost accounting.
     pub fn route_counted(&self, key: &str) -> (&str, u64) {
-        let h = avalanche(fnv1a(key.as_bytes()));
-        let idx = self.points.partition_point(|&(p, _)| p < h);
-        let (_, backend) = self.points[idx % self.points.len()];
         let work = key.len() as u64 + 64;
-        (&self.backends[backend as usize], work)
+        (&self.backends[self.route_index(key)], work)
     }
 
     /// Picks the backend for `key`.
@@ -124,6 +129,21 @@ mod tests {
             moved < total / 6,
             "consistent hashing should move few keys: {moved}/{total}"
         );
+    }
+
+    #[test]
+    fn route_index_names_the_backend_route_picks() {
+        let names: Vec<String> = (0..8).map(|i| format!("core-{i}")).collect();
+        let ring = HashRing::new(names.clone(), 64);
+        for i in 0..10_000 {
+            let key = format!("req-{i}");
+            // Reference: the first ring point at or after the key's hash,
+            // wrapping to the lowest point, by linear scan.
+            let h = avalanche(fnv1a(key.as_bytes()));
+            let owner = ring.points.iter().find(|&&(p, _)| p >= h).unwrap_or(&ring.points[0]).1;
+            assert_eq!(ring.route_index(&key), owner as usize, "key {key}");
+            assert_eq!(names[ring.route_index(&key)], ring.route(&key), "key {key}");
+        }
     }
 
     #[test]

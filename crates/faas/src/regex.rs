@@ -7,6 +7,11 @@
 //! filters use: literals, `.`, `*`, `+`, `?`, character classes
 //! (`[a-z0-9-]`, negated `[^/]`), alternation `|`, grouping `(...)` and
 //! anchors `^`/`$`.
+//!
+//! [`Dfa`] memoizes the NFA simulation's per-byte step, work count and
+//! all, for callers that match many inputs against one pattern.
+
+use std::collections::HashMap;
 
 /// A compiled regular expression.
 #[derive(Debug, Clone)]
@@ -283,37 +288,163 @@ impl Regex {
         let mut cur = vec![false; n];
         let mut next = vec![false; n];
         let mut stack = Vec::new();
-        let mut work = 0u64;
-        add_state(&self.prog, &mut cur, &mut stack, 0, bytes.is_empty(), &mut work);
+        let mut work = self.start(bytes.is_empty(), &mut cur, &mut stack);
         for (i, &b) in bytes.iter().enumerate() {
-            if cur[n - 1] {
+            if self.accepts(&cur) {
                 return (true, work);
             }
-            next.iter_mut().for_each(|s| *s = false);
-            let at_end_after = i + 1 == bytes.len();
-            for (pc, live) in cur.iter().enumerate() {
-                if !live {
-                    continue;
-                }
-                work += 1;
-                if let Inst::Byte(c) = &self.prog[pc] {
-                    if c.matches(b) {
-                        add_state(&self.prog, &mut next, &mut stack, pc + 1, at_end_after, &mut work);
-                    }
-                }
-            }
-            if !self.anchored_start {
-                // Implicit `.*` prefix: a match may start at the next byte.
-                add_state(&self.prog, &mut next, &mut stack, 0, at_end_after, &mut work);
-            }
+            work += self.step(&cur, b, i + 1 == bytes.len(), &mut next, &mut stack);
             std::mem::swap(&mut cur, &mut next);
         }
-        (cur[n - 1], work)
+        (self.accepts(&cur), work)
     }
 
     /// Whether the pattern matches.
     pub fn is_match(&self, input: &str) -> bool {
         self.is_match_counted(input).0
+    }
+
+    /// Fills `set` (all clear) with the start state's ε-closure; `at_end`
+    /// says whether the input is empty. Returns the state-steps it cost.
+    fn start(&self, at_end: bool, set: &mut [bool], stack: &mut Vec<usize>) -> u64 {
+        let mut work = 0;
+        add_state(&self.prog, set, stack, 0, at_end, &mut work);
+        work
+    }
+
+    /// One byte of the breadth-first simulation: every live state of `cur`
+    /// consumes `b` into `next` (cleared first), with `at_end_after`
+    /// telling `$` whether `b` is the input's last byte. Returns the
+    /// state-steps it executed. This is the only definition of a step and
+    /// its count: [`Regex::is_match_counted`] runs it byte by byte and
+    /// [`Dfa`] memoizes it.
+    fn step(
+        &self,
+        cur: &[bool],
+        b: u8,
+        at_end_after: bool,
+        next: &mut [bool],
+        stack: &mut Vec<usize>,
+    ) -> u64 {
+        next.fill(false);
+        let mut work = 0u64;
+        for (pc, &live) in cur.iter().enumerate() {
+            if !live {
+                continue;
+            }
+            work += 1;
+            if let Inst::Byte(c) = &self.prog[pc] {
+                if c.matches(b) {
+                    add_state(&self.prog, next, stack, pc + 1, at_end_after, &mut work);
+                }
+            }
+        }
+        if !self.anchored_start {
+            // Implicit `.*` prefix: a match may start at the next byte.
+            add_state(&self.prog, next, stack, 0, at_end_after, &mut work);
+        }
+        work
+    }
+
+    /// Whether `set` holds the live `Match` state.
+    fn accepts(&self, set: &[bool]) -> bool {
+        set[self.prog.len() - 1]
+    }
+}
+
+/// A transition slot not built yet.
+const UNBUILT: u32 = u32::MAX;
+
+/// A lazily built counting DFA over one [`Regex`]. A DFA state is an NFA
+/// state set; a transition memoizes one [`Regex::step`], keyed by (state
+/// set, byte, whether the byte is the input's last), together with the
+/// state-steps that step cost. [`Dfa::is_match_counted`] therefore returns
+/// the NFA simulation's match bit *and* work count, at one table lookup per
+/// byte once the transitions an input meets are built. The tables grow
+/// with the distinct sets inputs reach — a few dozen for URL filters — and
+/// belong to one caller; matching needs `&mut self`.
+#[derive(Debug)]
+pub struct Dfa {
+    re: Regex,
+    /// State id → its NFA state set.
+    sets: Vec<Box<[bool]>>,
+    ids: HashMap<Box<[bool]>, u32>,
+    /// Whether each state holds the live `Match`.
+    accepting: Vec<bool>,
+    /// `trans[state][at_end << 8 | byte]` = (next state, state-steps), or
+    /// ([`UNBUILT`], 0).
+    trans: Vec<Box<[(u32, u32)]>>,
+    /// Start state and its closure steps, indexed by "input is empty".
+    start: [Option<(u32, u64)>; 2],
+    stack: Vec<usize>,
+}
+
+impl Dfa {
+    /// An empty DFA over `re`; states are built as inputs reach them.
+    pub fn new(re: Regex) -> Dfa {
+        Dfa {
+            re,
+            sets: Vec::new(),
+            ids: HashMap::new(),
+            accepting: Vec::new(),
+            trans: Vec::new(),
+            start: [None; 2],
+            stack: Vec::new(),
+        }
+    }
+
+    /// Exactly [`Regex::is_match_counted`] on the wrapped regex: the same
+    /// early return on a live `Match` before each byte, the same steps.
+    pub fn is_match_counted(&mut self, input: &str) -> (bool, u64) {
+        let bytes = input.as_bytes();
+        let (mut s, mut work) = self.start_state(bytes.is_empty());
+        for (i, &b) in bytes.iter().enumerate() {
+            if self.accepting[s as usize] {
+                return (true, work);
+            }
+            let (next, w) = self.next(s, b, i + 1 == bytes.len());
+            s = next;
+            work += w;
+        }
+        (self.accepting[s as usize], work)
+    }
+
+    fn start_state(&mut self, at_end: bool) -> (u32, u64) {
+        if let Some(hit) = self.start[usize::from(at_end)] {
+            return hit;
+        }
+        let mut set = vec![false; self.re.prog.len()];
+        let work = self.re.start(at_end, &mut set, &mut self.stack);
+        let built = (self.intern(set.into()), work);
+        self.start[usize::from(at_end)] = Some(built);
+        built
+    }
+
+    fn next(&mut self, s: u32, b: u8, at_end: bool) -> (u32, u64) {
+        let slot = usize::from(at_end) << 8 | usize::from(b);
+        let (t, w) = self.trans[s as usize][slot];
+        if t != UNBUILT {
+            return (t, u64::from(w));
+        }
+        let mut next = vec![false; self.re.prog.len()];
+        let work = self.re.step(&self.sets[s as usize], b, at_end, &mut next, &mut self.stack);
+        let t = self.intern(next.into());
+        let w = u32::try_from(work).expect("one step costs at most a few states²");
+        self.trans[s as usize][slot] = (t, w);
+        (t, work)
+    }
+
+    /// The id of `set`, adding a state with no built transitions if new.
+    fn intern(&mut self, set: Box<[bool]>) -> u32 {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        let id = u32::try_from(self.sets.len()).expect("DFA state count fits u32");
+        self.accepting.push(self.re.accepts(&set));
+        self.trans.push(vec![(UNBUILT, 0); 512].into());
+        self.ids.insert(set.clone(), id);
+        self.sets.push(set);
+        id
     }
 }
 
@@ -436,6 +567,102 @@ mod tests {
         assert!(Regex::new("[ab").is_err());
         assert!(Regex::new("*a").is_err());
         assert!(Regex::new("[z-a]").is_err());
+    }
+
+    /// Patterns with the inputs that exercise each construct: `^`, `$` on
+    /// the last byte and before it, alternation, negated classes, empty
+    /// input and empty patterns.
+    const CASES: &[(&str, &[&str])] = &[
+        ("abc", &["xxabcxx", "ab", "", "abc"]),
+        ("a.c", &["abc", "axc", "ac"]),
+        ("^abc", &["abcdef", "xabc", ""]),
+        ("abc$", &["abcabc", "xxabc", "abcx", "abc", "abcab"]),
+        ("^abc$", &["abc", "abcd", "", "xabc"]),
+        ("ab*c", &["ac", "abbbc", "abx"]),
+        ("ab+c", &["abc", "ac"]),
+        ("ab?c", &["ac", "abc", "abbc"]),
+        ("[^/]+", &["segment", "", "/", "//a"]),
+        ("^[^/]+$", &["a/b", "ab", "", "/"]),
+        ("[a-z0-9-]+", &["my-url-9", "/", "A"]),
+        ("\\d+", &["route66", "x"]),
+        ("cat|dog", &["hotdog", "cow", ""]),
+        ("^(cat|dog)$", &["cat", "cow", "dog", "catdog"]),
+        ("^a(b|c)*d$", &["abcbcd", "ad", "abx", "abcbcdd"]),
+        ("(ab)+", &["ababab", "a", ""]),
+        ("\\.(css|js|png|jpg)$", &["/assets/app.js", "/img/logo.png", "/app.js.map", ".js", "js"]),
+        (
+            "^/api/v[0-9]+/users/[0-9]+$",
+            &["/api/v2/users/12345", "/api/v2/users/1/edit", "/apiv2/users/1"],
+        ),
+        ("a*a*a*b", &["aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "aab", "b"]),
+        ("x$|y", &["ax", "xa", "ya", "", "x"]),
+        ("$", &["", "x"]),
+        ("", &["", "x"]),
+    ];
+
+    /// The first `(pattern, input)` on which a matcher built by `build`
+    /// and run by `run` disagrees with the NFA, in match bit or work. Each
+    /// pattern's matcher sees its inputs forwards and then backwards, so
+    /// memoized transitions are reused across inputs.
+    fn first_disagreement<M>(
+        mut build: impl FnMut(Regex) -> M,
+        run: impl Fn(&mut M, &str) -> (bool, u64),
+    ) -> Option<String> {
+        for &(pat, inputs) in CASES {
+            let re = Regex::new(pat).unwrap();
+            let mut m = build(re.clone());
+            for input in inputs.iter().chain(inputs.iter().rev()) {
+                let (want, got) = (re.is_match_counted(input), run(&mut m, input));
+                if want != got {
+                    return Some(format!("{pat:?} on {input:?}: nfa {want:?}, memo {got:?}"));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn dfa_matches_and_counts_exactly_like_the_nfa() {
+        assert_eq!(first_disagreement(Dfa::new, Dfa::is_match_counted), None);
+    }
+
+    /// A step memo keyed by (state set, byte) alone — without the at-end
+    /// flag `$` depends on.
+    struct AtEndBlind {
+        re: Regex,
+        memo: HashMap<(Vec<bool>, u8), (Vec<bool>, u64)>,
+    }
+
+    impl AtEndBlind {
+        fn is_match_counted(&mut self, input: &str) -> (bool, u64) {
+            let bytes = input.as_bytes();
+            let mut stack = Vec::new();
+            let mut cur = vec![false; self.re.prog.len()];
+            let mut work = self.re.start(bytes.is_empty(), &mut cur, &mut stack);
+            for (i, &b) in bytes.iter().enumerate() {
+                if self.re.accepts(&cur) {
+                    return (true, work);
+                }
+                let re = &self.re;
+                let (next, w) = self.memo.entry((cur.clone(), b)).or_insert_with(|| {
+                    let mut next = vec![false; re.prog.len()];
+                    let w = re.step(&cur, b, i + 1 == bytes.len(), &mut next, &mut stack);
+                    (next, w)
+                });
+                work += *w;
+                cur = next.clone();
+            }
+            (self.re.accepts(&cur), work)
+        }
+    }
+
+    #[test]
+    fn a_memo_blind_to_the_input_end_is_caught() {
+        let found = first_disagreement(
+            |re| AtEndBlind { re, memo: HashMap::new() },
+            AtEndBlind::is_match_counted,
+        );
+        assert!(found.is_some(), "the oracle must catch a memo keyed without the at-end flag");
     }
 
     #[test]

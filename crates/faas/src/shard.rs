@@ -30,6 +30,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 
 use sfi_telemetry::{
     pack_span, BucketExemplars, CycleHistogram, FlightRecorder, Registry, SpanLevel, TraceEvent,
@@ -481,11 +482,14 @@ pub fn simulate_multicore(cfg: &MultiCoreConfig) -> MultiCoreReport {
     });
 
     // Sticky home-core placement via the consistent-hash ring.
+    // Backend i is core i.
     let ring = HashRing::new((0..ncores).map(|i| format!("core-{i}")).collect::<Vec<_>>(), 64);
+    let mut key = String::new();
     let home: Vec<u32> = (0..requests.len())
         .map(|rid| {
-            let name = ring.route(&format!("req-{rid}"));
-            name.strip_prefix("core-").and_then(|s| s.parse().ok()).expect("ring backend name")
+            key.clear();
+            write!(key, "req-{rid}").expect("writing to a String");
+            ring.route_index(&key) as u32
         })
         .collect();
 

@@ -22,12 +22,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::hashlb::HashRing;
-use crate::regex::Regex;
+use crate::regex::{Dfa, Regex};
 use crate::stats::{exponential, poisson};
 use crate::template::{render_counted, Context};
 
@@ -56,64 +58,37 @@ impl FaasWorkload {
         }
     }
 
-    /// Executes one request's worth of real work and returns work units
-    /// (converted to compute-ns by the calibration constants below).
-    fn service_work(self, rng: &mut StdRng, rt: &WorkloadRt) -> u64 {
+    /// One request's worth of work units (converted to compute-ns by the
+    /// calibration constants below), as real executions of the engines
+    /// count them. `rt` memoizes what is a pure function of earlier draws;
+    /// the RNG is consumed exactly as the engines' inputs are drawn.
+    fn service_work(self, rng: &mut StdRng, rt: &mut WorkloadRt) -> u64 {
         match self {
             FaasWorkload::RegexFilter => {
-                // One request filters a batch of URLs (an access-log chunk).
-                let mut work = 0;
-                for _ in 0..1 {
-                    let depth = rng.gen_range(2..6);
-                    let mut url = String::from("/api");
-                    for _ in 0..depth {
-                        url.push('/');
-                        let seg_len = rng.gen_range(3..12);
-                        for _ in 0..seg_len {
-                            url.push((b'a' + rng.gen_range(0..26)) as char);
-                        }
-                    }
-                    for f in &rt.filters {
-                        let (_, w) = f.is_match_counted(&url);
-                        work += w;
-                    }
-                }
-                work
+                // One request filters one access-log URL.
+                draw_url(rng, &mut rt.text);
+                rt.filters.iter_mut().map(|f| f.is_match_counted(&rt.text).1).sum()
             }
             FaasWorkload::HashLoadBalance => {
                 // One request routes a batch of keys across service tiers.
                 let mut work = 0;
                 for _ in 0..4 {
-                    let key = format!(
+                    rt.text.clear();
+                    write!(
+                        rt.text,
                         "/tenant/{}/object/{}",
                         rng.gen_range(0..512u32),
                         rng.gen::<u32>()
-                    );
-                    let (_, w) = rt.ring.route_counted(&key);
-                    work += w;
+                    )
+                    .expect("writing to a String");
+                    work += rt.ring.route_counted(&rt.text).1;
                 }
                 work
             }
             FaasWorkload::HtmlTemplate => {
-                // One request renders a multi-section page.
-                let mut work = 0;
-                for section in 0..1 {
-                    let mut ctx = Context::new();
-                    let items: Vec<String> = (0..rng.gen_range(6..20))
-                        .map(|i| format!("item-{section}-{i}"))
-                        .collect();
-                    ctx.insert("title".into(), "Edge page".into());
-                    ctx.insert("rows".into(), items.join("|"));
-                    ctx.insert("user".into(), "visitor <3".into());
-                    let (_, w) = render_counted(
-                        "<html><h1>{{title}}</h1><p>Hello {{user}}</p>\
-                         <ul>{{#each rows}}<li class=\"row\">{{item}}</li>{{/each}}</ul></html>",
-                        &ctx,
-                    )
-                    .expect("static template renders");
-                    work += w;
-                }
-                work
+                // One request renders the edge page.
+                let items: i32 = rng.gen_range(PAGE_ITEMS);
+                rt.page_work(items)
             }
         }
     }
@@ -128,26 +103,82 @@ impl FaasWorkload {
     }
 }
 
-/// Pre-built workload state shared by all requests.
+/// The regex-filtering workload's URL filters.
+const URL_FILTERS: [&str; 4] = [
+    "^/api/v[0-9]+/users/[0-9]+$",
+    "\\.(css|js|png|jpg)$",
+    "^/(admin|internal)/",
+    "/[a-z]+/[a-z0-9-]+$",
+];
+
+/// The templating workload's edge page.
+const PAGE: &str = "<html><h1>{{title}}</h1><p>Hello {{user}}</p>\
+                    <ul>{{#each rows}}<li class=\"row\">{{item}}</li>{{/each}}</ul></html>";
+
+/// The range a templating request draws its page's list-item count from.
+const PAGE_ITEMS: Range<i32> = 6..20;
+
+/// Draws one `/api/…` URL of 2–5 random lowercase segments into `url`.
+fn draw_url(rng: &mut StdRng, url: &mut String) {
+    url.clear();
+    url.push_str("/api");
+    let depth = rng.gen_range(2..6);
+    for _ in 0..depth {
+        url.push('/');
+        let seg_len = rng.gen_range(3..12);
+        for _ in 0..seg_len {
+            url.push((b'a' + rng.gen_range(0..26)) as char);
+        }
+    }
+}
+
+/// Renders [`PAGE`] with `items` list items; returns the render's work.
+fn render_page(items: i32) -> u64 {
+    let mut ctx = Context::new();
+    let rows: Vec<String> = (0..items).map(|i| format!("item-0-{i}")).collect();
+    ctx.insert("title".into(), "Edge page".into());
+    ctx.insert("rows".into(), rows.join("|"));
+    ctx.insert("user".into(), "visitor <3".into());
+    render_counted(PAGE, &ctx).expect("static template renders").1
+}
+
+/// Workload state for one request stream: the engines, plus the memos that
+/// stand in for re-running them where the count is already known
+/// (DESIGN.md §7). Each [`generate_stream`] call owns one; nothing is
+/// shared between calls or threads.
 struct WorkloadRt {
-    filters: Vec<Regex>,
+    /// [`URL_FILTERS`] as counting DFAs: each memoizes the NFA's per-byte
+    /// step, match bit and step count alike.
+    filters: Vec<Dfa>,
     ring: HashRing,
+    /// [`render_page`]'s work per item count, filled on first draw: the
+    /// page, and so its work, is a pure function of the count.
+    page_work: Vec<Option<u64>>,
+    /// The URL or key being processed, reused across requests.
+    text: String,
 }
 
 impl WorkloadRt {
     fn new() -> WorkloadRt {
         WorkloadRt {
-            filters: vec![
-                Regex::new("^/api/v[0-9]+/users/[0-9]+$").expect("static"),
-                Regex::new("\\.(css|js|png|jpg)$").expect("static"),
-                Regex::new("^/(admin|internal)/").expect("static"),
-                Regex::new("/[a-z]+/[a-z0-9-]+$").expect("static"),
-            ],
+            filters: URL_FILTERS
+                .iter()
+                .map(|pat| Dfa::new(Regex::new(pat).expect("static")))
+                .collect(),
             ring: HashRing::new(
                 (0..16).map(|i| format!("origin-{i}")).collect::<Vec<_>>(),
                 64,
             ),
+            page_work: vec![None; PAGE_ITEMS.end as usize],
+            text: String::new(),
         }
+    }
+
+    /// The work of rendering the page with `items` items: rendered for real
+    /// the first time `items` is drawn, then memoized.
+    fn page_work(&mut self, items: i32) -> u64 {
+        let slot = &mut self.page_work[usize::try_from(items).expect("drawn from PAGE_ITEMS")];
+        *slot.get_or_insert_with(|| render_page(items))
     }
 }
 
@@ -498,7 +529,7 @@ pub(crate) fn generate_stream(
     arrivals: &ArrivalModel,
 ) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let rt = WorkloadRt::new();
+    let mut rt = WorkloadRt::new();
     let mut reqs = Vec::new();
     for e in 0..duration_ms {
         let count = match arrivals.epoch_rate(e) {
@@ -507,7 +538,7 @@ pub(crate) fn generate_stream(
         };
         for _ in 0..count {
             let arrival_ns = e * 1_000_000 + rng.gen_range(0..1_000_000);
-            let total_work = workload.service_work(&mut rng, &rt);
+            let total_work = workload.service_work(&mut rng, &mut rt);
             let per_stage_ns = (total_work as f64 * workload.ns_per_work_unit() / f64::from(stages))
                 .max(1_000.0) as u64;
             let io_ns = (0..stages)
@@ -1089,5 +1120,132 @@ mod tests {
             cg.p99_latency_ms,
             mp.p99_latency_ms
         );
+    }
+
+    /// FNV-1a over every field of every request, in stream order.
+    fn stream_digest(reqs: &[Request]) -> u64 {
+        let mut bytes = Vec::new();
+        for r in reqs {
+            for v in std::iter::once(&r.arrival_ns).chain(&r.io_ns).chain(&r.compute_ns) {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&(reqs.len() as u64).to_le_bytes());
+        crate::hashlb::fnv1a(&bytes)
+    }
+
+    const DIGEST_SEEDS: [u64; 4] = [1, 0xA5A5, 0x5E65E9, 0xDEAD_BEEF];
+
+    /// The arrival models the digests cover: closed loop, Poisson, bursty.
+    fn digest_arrivals() -> [ArrivalModel; 3] {
+        [
+            ArrivalModel::ClosedLoop,
+            ArrivalModel::Poisson { rate_rps: 9_000.0 },
+            ArrivalModel::bursty(9_000.0),
+        ]
+    }
+
+    /// `digest` folded over [`DIGEST_SEEDS`]' streams, per workload (paper
+    /// order) × arrival model.
+    fn stream_digests(digest: impl Fn(&[Request]) -> u64) -> Vec<[u64; 3]> {
+        FaasWorkload::ALL
+            .iter()
+            .map(|&w| {
+                digest_arrivals().map(|a| {
+                    let per_seed: Vec<u8> = DIGEST_SEEDS
+                        .iter()
+                        .flat_map(|&seed| {
+                            digest(&generate_stream(w, 40, 9, 5.0, 3, seed, &a)).to_le_bytes()
+                        })
+                        .collect();
+                    crate::hashlb::fnv1a(&per_seed)
+                })
+            })
+            .collect()
+    }
+
+    /// The streams as the engines generated them before any memo: recorded
+    /// from the generator that re-ran every engine for every request.
+    const PINNED_STREAM_DIGESTS: [[u64; 3]; 3] = [
+        [0x64c8486fc500cda6, 0x8150a407826103de, 0xd5bc479a10b856f7],
+        [0x426d5554930b60b7, 0xaa578995e3aed40e, 0xedc13f58c1b4939a],
+        [0x60a958d43e5cd5d2, 0x137cca50c45827c8, 0xab7b20ed72c4a85e],
+    ];
+
+    #[test]
+    fn memoized_streams_equal_the_pinned_engine_streams() {
+        assert_eq!(stream_digests(stream_digest), PINNED_STREAM_DIGESTS);
+    }
+
+    #[test]
+    fn the_pin_catches_one_request_off_by_one_ns() {
+        // The smallest error a wrong memo could make: one request's first
+        // compute stage 1 ns off. Every cell's digest must move.
+        let off_by_one = |reqs: &[Request]| {
+            let mut reqs = reqs.to_vec();
+            let mid = reqs.len() / 2;
+            if let Some(r) = reqs.get_mut(mid) {
+                r.compute_ns[0] += 1;
+            }
+            stream_digest(&reqs)
+        };
+        for (got, pinned) in stream_digests(off_by_one).iter().zip(PINNED_STREAM_DIGESTS) {
+            for (g, p) in got.iter().zip(pinned) {
+                assert_ne!(*g, p, "a 1 ns error must move the digest");
+            }
+        }
+    }
+
+    /// [`PAGE`] rendered from scratch, as one request did before the memo.
+    fn fresh_page_work(items: i32) -> u64 {
+        let mut ctx = Context::new();
+        ctx.insert("title".into(), "Edge page".into());
+        ctx.insert(
+            "rows".into(),
+            (0..items).map(|i| format!("item-0-{i}")).collect::<Vec<_>>().join("|"),
+        );
+        ctx.insert("user".into(), "visitor <3".into());
+        render_counted(PAGE, &ctx).unwrap().1
+    }
+
+    #[test]
+    fn page_memo_equals_a_fresh_render_for_every_count() {
+        let mut rt = WorkloadRt::new();
+        // Fill out of order and read twice: the memo is keyed by count only.
+        for items in PAGE_ITEMS.rev().chain(PAGE_ITEMS) {
+            assert_eq!(rt.page_work(items), fresh_page_work(items), "{items} items");
+        }
+        // Every count renders a different amount of work, so a memo read
+        // under any other count (off by one here) is caught.
+        for items in PAGE_ITEMS.skip(1) {
+            assert_ne!(rt.page_work(items - 1), fresh_page_work(items), "{items} items");
+        }
+    }
+
+    #[test]
+    fn url_filter_dfas_agree_with_the_nfa_on_seeded_urls() {
+        let nfas: Vec<Regex> = URL_FILTERS.iter().map(|p| Regex::new(p).unwrap()).collect();
+        let mut rt = WorkloadRt::new();
+        let mut matched = [0u32; 4];
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut url = String::new();
+            for i in 0..400 {
+                draw_url(&mut rng, &mut url);
+                // Also the shapes the other filters look for.
+                match i % 4 {
+                    1 => url.push_str(".css"),
+                    2 => url.replace_range(..4, "/admin"),
+                    3 => url = format!("/api/v{i}/users/{seed}{i}"),
+                    _ => {}
+                }
+                for (k, (nfa, dfa)) in nfas.iter().zip(&mut rt.filters).enumerate() {
+                    let want = nfa.is_match_counted(&url);
+                    assert_eq!(dfa.is_match_counted(&url), want, "filter {k} on {url:?}");
+                    matched[k] += u32::from(want.0);
+                }
+            }
+        }
+        assert!(matched.iter().all(|&m| m > 0), "every filter must match something: {matched:?}");
     }
 }

@@ -60,7 +60,7 @@ impl TraceKind {
     }
 
     /// Whether this kind is a *fault* event — the post-mortem evidence a
-    /// long-running server must never age out of its ring
+    /// long-running server keeps outside its ring
     /// ([`Retention::PinFaults`]): the trap itself and the
     /// quarantine/recycle that contained it.
     pub fn is_fault(self) -> bool {
@@ -97,13 +97,19 @@ pub enum Retention {
     #[default]
     Uniform,
     /// Per-kind retention for long-running servers: fault events
-    /// ([`TraceKind::is_fault`] — traps and quarantine recycles) are pinned
-    /// and never evicted; ring eviction applies only to the high-rate
-    /// lifecycle kinds (enter/exit/spawn/steal/compile). Pinned events sit
-    /// outside the configured capacity — faults are rare by design, and a
-    /// fault-saturated server has bigger problems than its trace budget.
+    /// ([`TraceKind::is_fault`] — traps and recycles) are pinned outside
+    /// the ring, so lifecycle chatter (enter/exit/spawn/steal/compile)
+    /// never ages them out. The pinned set is bounded too, at
+    /// [`FlightRecorder::pinned_capacity`] (1/16 of the ring, rounded up):
+    /// a server whose recycles are routine — every slot handoff — keeps
+    /// its newest faults and evicts the oldest pinned one first, so memory
+    /// stays flat however long it serves.
     PinFaults,
 }
+
+/// Under [`Retention::PinFaults`], the pinned set holds at most the ring
+/// capacity divided by this, rounded up.
+const PIN_SHARE: usize = 16;
 
 /// One structured trace event. Fixed-size and `Copy`, so recording is a
 /// bounds check and a store.
@@ -171,19 +177,16 @@ pub struct Drained {
 pub struct FlightRecorder {
     /// The evictable ring: `(sequence, event)` in sequence order.
     ring: VecDeque<(u64, TraceEvent)>,
-    /// Pinned events ([`Retention::PinFaults`] only): never evicted, in
-    /// sequence order, outside the ring capacity.
-    pinned: Vec<(u64, TraceEvent)>,
+    /// Pinned events ([`Retention::PinFaults`] only), in sequence order,
+    /// outside the ring capacity; at most [`FlightRecorder::pinned_capacity`],
+    /// oldest evicted first.
+    pinned: VecDeque<(u64, TraceEvent)>,
     capacity: usize,
     retention: Retention,
     total: u64,
     /// Events evicted so far, and per kind (for retention diagnostics).
     evicted: u64,
     evicted_by_kind: [u64; TRACE_KINDS],
-    /// Sequence of the newest evicted event. Evictions happen in sequence
-    /// order, so every evictable event at or below this is gone and every
-    /// one above it is retained.
-    max_evicted_seq: Option<u64>,
 }
 
 impl FlightRecorder {
@@ -194,17 +197,17 @@ impl FlightRecorder {
 
     /// A recorder with an explicit [`Retention`] policy. Under
     /// [`Retention::PinFaults`], `capacity` bounds the evictable ring only;
-    /// pinned fault events are retained beyond it.
+    /// up to [`FlightRecorder::pinned_capacity`] pinned fault events are
+    /// retained beyond it.
     pub fn with_retention(capacity: usize, retention: Retention) -> FlightRecorder {
         FlightRecorder {
             ring: VecDeque::with_capacity(capacity.min(4096)),
-            pinned: Vec::new(),
+            pinned: VecDeque::new(),
             capacity,
             retention,
             total: 0,
             evicted: 0,
             evicted_by_kind: [0; TRACE_KINDS],
-            max_evicted_seq: None,
         }
     }
 
@@ -221,6 +224,17 @@ impl FlightRecorder {
     /// The configured capacity (of the evictable ring).
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Most fault events kept pinned outside the ring: `capacity / 16`
+    /// rounded up under [`Retention::PinFaults`], else 0.
+    /// [`FlightRecorder::len`] never exceeds `capacity() +
+    /// pinned_capacity()`.
+    pub fn pinned_capacity(&self) -> usize {
+        match self.retention {
+            Retention::PinFaults => self.capacity.div_ceil(PIN_SHARE),
+            Retention::Uniform => 0,
+        }
     }
 
     /// The active retention policy.
@@ -243,15 +257,16 @@ impl FlightRecorder {
         self.total
     }
 
-    /// Events evicted by ring wraparound so far (never includes pinned
-    /// kinds under [`Retention::PinFaults`]).
+    /// Events evicted so far: by ring wraparound, and under
+    /// [`Retention::PinFaults`] also pinned faults evicted past
+    /// [`FlightRecorder::pinned_capacity`].
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// Events of `kind` evicted so far — under [`Retention::PinFaults`]
-    /// this stays 0 for fault kinds by construction, which is the
-    /// per-kind retention guarantee in one assertable number.
+    /// Events of `kind` evicted so far. Under [`Retention::PinFaults`] a
+    /// fault kind's count stays 0 until more faults arrive than
+    /// [`FlightRecorder::pinned_capacity`] holds.
     pub fn evicted_of(&self, kind: TraceKind) -> u64 {
         self.evicted_by_kind[kind.index()]
     }
@@ -263,17 +278,15 @@ impl FlightRecorder {
         }
         let seq = self.total;
         self.total += 1;
-        if self.retention == Retention::PinFaults && ev.kind.is_fault() {
-            self.pinned.push((seq, ev));
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            let (old_seq, old) = self.ring.pop_front().expect("capacity > 0");
+        let pin = self.retention == Retention::PinFaults && ev.kind.is_fault();
+        let cap = if pin { self.pinned_capacity() } else { self.capacity };
+        let queue = if pin { &mut self.pinned } else { &mut self.ring };
+        if queue.len() == cap {
+            let (_, old) = queue.pop_front().expect("capacity > 0");
             self.evicted += 1;
             self.evicted_by_kind[old.kind.index()] += 1;
-            self.max_evicted_seq = Some(old_seq);
         }
-        self.ring.push_back((seq, ev));
+        queue.push_back((seq, ev));
     }
 
     /// Retained events, oldest first (sequence order; pinned and ring
@@ -299,7 +312,7 @@ impl FlightRecorder {
             }
         }
         out.extend(self.ring.iter().skip(i));
-        out.extend_from_slice(&self.pinned[j..]);
+        out.extend(self.pinned.iter().skip(j));
         out
     }
 
@@ -307,7 +320,7 @@ impl FlightRecorder {
     /// current end when nothing is retained).
     pub fn first_retained_seq(&self) -> u64 {
         let ring = self.ring.front().map(|(s, _)| *s);
-        let pin = self.pinned.first().map(|(s, _)| *s);
+        let pin = self.pinned.front().map(|(s, _)| *s);
         match (ring, pin) {
             (Some(r), Some(p)) => r.min(p),
             (Some(r), None) => r,
@@ -325,30 +338,20 @@ impl FlightRecorder {
     /// Cursor-based incremental drain, the live-streaming counterpart of
     /// the post-mortem [`FlightRecorder::events`] dump: returns every
     /// retained event with sequence ≥ `cursor` (oldest first) plus how many
-    /// requested events the ring had already overwritten. `dropped` counts
-    /// *lost* events only: under [`Retention::PinFaults`], a pinned trap
-    /// older than the ring window is returned, not counted as dropped —
-    /// per-kind retention keeps the drop accounting honest per kind. The
+    /// requested events were already evicted. `dropped` counts *lost*
+    /// events only: under [`Retention::PinFaults`], a pinned trap older
+    /// than the ring window is returned, not counted as dropped. The
     /// recorder is not mutated — the caller owns its cursor, so independent
     /// scrapers can stream at their own pace — and repeatedly draining from
     /// cursor 0 on a ring that never wrapped reproduces `events()` exactly,
     /// which is what makes a concatenated stream byte-identical to the
     /// batch export.
     pub fn events_since(&self, cursor: u64) -> Drained {
-        // Evictions happen in sequence order, so the evicted set is exactly
-        // the non-pinned sequences ≤ max_evicted_seq. The count at or after
-        // the cursor is that span's width minus its retained (pinned)
-        // events.
-        let dropped = match self.max_evicted_seq {
-            Some(m) if cursor <= m => {
-                let span = m + 1 - cursor;
-                let pinned_in_span = self.pinned.partition_point(|(s, _)| *s <= m) as u64
-                    - self.pinned.partition_point(|(s, _)| *s < cursor) as u64;
-                span - pinned_in_span
-            }
-            _ => 0,
-        };
-        let events = self.retained(cursor).into_iter().map(|(_, e)| e).collect();
+        // Every sequence in [cursor, total) is either retained or evicted,
+        // whatever order the ring and the pinned set evicted in.
+        let events: Vec<TraceEvent> =
+            self.retained(cursor).into_iter().map(|(_, e)| e).collect();
+        let dropped = self.total.saturating_sub(cursor) - events.len() as u64;
         Drained { events, next: self.total, dropped }
     }
 
@@ -503,7 +506,7 @@ mod tests {
         assert_eq!(ticks, [3, 7, 8, 9], "pinned trap outlives the ring window");
         assert_eq!(r.evicted(), 6);
         assert_eq!(r.evicted_of(TraceKind::Enter), 6);
-        assert_eq!(r.evicted_of(TraceKind::Trap), 0, "faults are never evicted");
+        assert_eq!(r.evicted_of(TraceKind::Trap), 0, "one trap fits the pinned set");
         // Drop accounting is per kind: cursor 0 missed the 6 evicted enters
         // but receives the pinned trap, so it is not counted as dropped.
         let d = r.events_since(0);
@@ -531,6 +534,52 @@ mod tests {
         assert_eq!(u.events().iter().map(|e| e.tick).collect::<Vec<_>>(), [7, 8, 9]);
         assert_eq!(u.evicted_of(TraceKind::Trap), 1);
         assert_eq!(u.events_since(0).dropped, 7);
+    }
+
+    #[test]
+    fn a_fault_flood_keeps_the_pinned_set_bounded() {
+        let mut r = FlightRecorder::with_retention(64, Retention::PinFaults);
+        assert_eq!(r.pinned_capacity(), 4);
+        let mut faults = 0u64;
+        for t in 0..10_000u64 {
+            let kind = match t % 8 {
+                0 => TraceKind::Enter,
+                1 | 2 => TraceKind::Trap,
+                _ => TraceKind::Recycle,
+            };
+            faults += u64::from(kind.is_fault());
+            r.record(TraceEvent { tick: t, core: 0, sandbox: t, kind, arg: 0 });
+            let len = r.len();
+            assert!(len <= r.capacity() + r.pinned_capacity(), "{len} events at tick {t}");
+        }
+        // The newest four faults stay pinned; every older one is counted
+        // as evicted under its own kind.
+        let kept: Vec<u64> =
+            r.events().iter().filter(|e| e.kind.is_fault()).map(|e| e.tick).collect();
+        assert_eq!(kept, [9_996, 9_997, 9_998, 9_999]);
+        assert_eq!(r.evicted_of(TraceKind::Trap) + r.evicted_of(TraceKind::Recycle), faults - 4);
+        assert_eq!(r.evicted(), 10_000 - r.len() as u64);
+        // A uniform ring pins nothing.
+        assert_eq!(FlightRecorder::new(64).pinned_capacity(), 0);
+    }
+
+    #[test]
+    fn drop_accounting_is_exact_for_every_cursor() {
+        for retention in [Retention::Uniform, Retention::PinFaults] {
+            let mut r = FlightRecorder::with_retention(20, retention);
+            for t in 0..300u64 {
+                let kind = if t % 3 == 0 { TraceKind::Enter } else { TraceKind::Recycle };
+                r.record(TraceEvent { tick: t, core: 0, sandbox: t, kind, arg: 0 });
+            }
+            for c in 0..=r.total_recorded() + 3 {
+                let d = r.events_since(c);
+                assert_eq!(
+                    d.dropped + d.events.len() as u64,
+                    r.total_recorded().saturating_sub(c),
+                    "{retention:?} cursor {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 use segue_colorguard::faas::{
     simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode,
 };
+use segue_colorguard::faas::hashlb::fnv1a;
+use sfi_bench::sweep::trace_json;
 use sfi_bench::MulticoreSweep;
 
 const SEED: u64 = 0xD15EA5E;
@@ -63,4 +65,23 @@ fn sweep_json_is_byte_identical_for_the_same_seed() {
     let b = MulticoreSweep::run(SEED, 100, &[1, 4, 8]).artifact().render();
     assert_eq!(a, b);
     assert!(a.contains("\"cores\": 8"), "sweep covers 8 cores");
+}
+
+/// `TRACE_multicore.json` as `figX_multicore` writes it for the default
+/// seed: (byte length, FNV-1a of the bytes). The file is not committed, so
+/// this pin is its drift check; re-recording it means changing this
+/// constant, with the reason in CHANGES.md.
+const TRACE_MULTICORE: (usize, u64) = (490_879, 0x52c5_4bcd_2f6f_c4f5);
+
+#[test]
+fn trace_multicore_json_bytes_are_pinned() {
+    let cores = *MulticoreSweep::CORES.iter().max().unwrap();
+    let report =
+        MulticoreSweep::headline_run(MulticoreSweep::SEED, MulticoreSweep::DURATION_MS, cores);
+    let trace = trace_json(&report);
+    let (len, digest) = (trace.len(), fnv1a(trace.as_bytes()));
+    assert!(
+        (len, digest) == TRACE_MULTICORE,
+        "TRACE_multicore.json drifted: {len} bytes, digest {digest:#x}"
+    );
 }

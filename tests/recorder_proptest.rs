@@ -2,7 +2,8 @@
 //! ([`FlightRecorder::events_since`]) across ring wraparound and the
 //! [`Retention::PinFaults`] policy: drains are strictly monotone in
 //! sequence, every requested event is either returned or honestly counted
-//! as dropped, and pinned fault kinds are never part of the drop count.
+//! as dropped, and the newest faults stay pinned up to the recorder's
+//! pinned capacity, every older one counted as evicted.
 
 use proptest::prelude::*;
 use sfi_telemetry::{FlightRecorder, Retention, TraceEvent, TraceKind};
@@ -72,22 +73,27 @@ proptest! {
                 .collect();
             let drained: Vec<u64> = d.events.iter().map(|e| e.tick).collect();
             prop_assert_eq!(drained, suffix);
-            if retention == Retention::PinFaults {
-                // Per-kind honesty: fault kinds are never evicted, so every
-                // fault ever recorded is still drainable from cursor 0 and
-                // contributes nothing to any drop count.
-                prop_assert_eq!(r.evicted_of(TraceKind::Trap), 0u64);
-                prop_assert_eq!(r.evicted_of(TraceKind::Recycle), 0u64);
-                if r.is_enabled() {
-                    let recorded = ops.iter().filter(|&&op| kind_of(op).is_fault()).count();
-                    let drained = r
-                        .events_since(0)
-                        .events
-                        .iter()
-                        .filter(|e| e.kind.is_fault())
-                        .count();
-                    prop_assert_eq!(drained, recorded);
-                }
+            if retention == Retention::PinFaults && r.is_enabled() {
+                // Per-kind retention: exactly the newest `pinned_capacity()`
+                // faults are drainable from cursor 0 however far the ring
+                // wrapped, and every older fault is counted as evicted
+                // under its own kind.
+                let recorded: Vec<u64> = (0..ops.len() as u64)
+                    .filter(|&seq| kind_of(ops[seq as usize]).is_fault())
+                    .collect();
+                let kept = recorded.len().min(r.pinned_capacity());
+                let drained: Vec<u64> = r
+                    .events_since(0)
+                    .events
+                    .iter()
+                    .filter(|e| e.kind.is_fault())
+                    .map(|e| e.tick)
+                    .collect();
+                prop_assert_eq!(&drained[..], &recorded[recorded.len() - kept..]);
+                prop_assert_eq!(
+                    r.evicted_of(TraceKind::Trap) + r.evicted_of(TraceKind::Recycle),
+                    (recorded.len() - kept) as u64
+                );
             }
         }
     }
