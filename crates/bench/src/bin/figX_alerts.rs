@@ -32,6 +32,10 @@ use sfi_vm::{EngineFault, FaultPlan};
 const CORES: u32 = 2;
 const CLEAN_ROUNDS: u64 = 8;
 const INCIDENT_ROUNDS: u64 = 6;
+/// Clean fleets driven back to back in one timed overhead run. A single
+/// fleet takes a few milliseconds, short enough for scheduler noise to
+/// swing the on/off factor by ±25%.
+const OVERHEAD_FLEETS: usize = 16;
 /// Rounds an injected incident may take to reach `firing` (incidents start
 /// at round 0, so this is also the firing round's ceiling).
 const DETECT_BUDGET: u64 = 6;
@@ -233,17 +237,22 @@ impl Outcome {
     }
 }
 
-/// Gate 4: wall-time of the clean fleet with alerting on vs off, best of
-/// 3 each. The clean fleet never fires, so this isolates the pure
-/// observation cost (ingest + rule evaluation) from the closed loop
-/// legitimately growing the fleet on incidents.
+/// Gate 4: wall-time of [`OVERHEAD_FLEETS`] clean fleets with alerting on
+/// vs off, best of 3 each. The clean fleet never fires, so this isolates
+/// the pure observation cost (ingest + rule evaluation) from the closed
+/// loop legitimately growing the fleet on incidents.
 fn check_alerting_overhead() {
     let factor = check_overhead("alerting overhead", |alerting| {
         let mut cfg = alerting_fleet(2, 20_000.0, 0xC1EA_0001);
         if !alerting {
             cfg.alerting = None;
         }
-        move || assert!(run_fleet(cfg, CLEAN_ROUNDS).rounds() == CLEAN_ROUNDS)
+        let fleets = vec![cfg; OVERHEAD_FLEETS];
+        move || {
+            for cfg in fleets {
+                assert!(run_fleet(cfg, CLEAN_ROUNDS).rounds() == CLEAN_ROUNDS);
+            }
+        }
     });
     println!("[check] overhead OK: alerting on vs off {factor:.3}x (budget {OVERHEAD_BUDGET}x)");
 }

@@ -1,8 +1,8 @@
 //! A self-contained execution harness for compiled modules.
 //!
-//! Sets up a flat memory with the runtime regions (header, globals, table,
-//! stack) and the linear memory at `layout.heap_base`, stages arguments,
-//! points `%gs`/the reserved GPR at the heap, and runs an export on the
+//! Sizes a flat memory for the runtime regions (header, globals, table,
+//! stack) and the linear memory at `layout.heap_base`, enters the code
+//! through the [`abi`](crate::abi), and runs an export on the
 //! [`sfi_x86::emu::Machine`]. Out-of-bounds accesses beyond the flat memory
 //! (which ends exactly at the heap's guard frontier) fault — standing in
 //! for guard-region traps.
@@ -13,10 +13,11 @@
 
 use sfi_wasm::PAGE_SIZE;
 use sfi_x86::cost::RunStats;
-use sfi_x86::emu::{FlatMemory, Machine, MemBus, RegFile, SpecConfig, SpecError};
-use sfi_x86::{Gpr, Trap, Width};
+use sfi_x86::emu::{FlatMemory, Image, Machine, SpecConfig, SpecError};
+use sfi_x86::{Gpr, Trap};
 
-use crate::compile::{hostcall, CompiledModule};
+use crate::abi;
+use crate::compile::CompiledModule;
 use crate::config::{regs, MitigationLevel, Strategy};
 
 /// The outcome of a harness run.
@@ -72,141 +73,52 @@ pub fn execute_export_on(
     let entry = cm
         .export_entry(export)
         .ok_or_else(|| ExecError::NoSuchExport(export.to_owned()))?;
-    let fidx = cm.exports[export];
-    let has_result = cm.func_has_result[fidx as usize];
+    let has_result = cm.func_has_result[cm.exports[export] as usize];
+    let (stats, mem) =
+        run_flat(cm, &cm.image, entry, &cm.table_bytes, regs::HEAP_BASE, args, machine)
+            .map_err(ExecError::Trapped)?;
+    let heap = mem.bytes()[cm.config.layout.heap_base as usize..].to_vec();
+    Ok(ExecOutcome { result: has_result.then(|| machine.gpr(regs::RET)), stats, heap })
+}
 
-    let layout = cm.config.layout;
-    let regions = cm.config.regions;
+/// The flat runner: enters `image` at `entry` through the [`abi`] on a
+/// fresh flat memory sized for `cm`, with `table` as the indirect-call
+/// table and `base_reg` also holding the heap base. Returns the run
+/// counters and the final memory. For guard-based layouts the memory ends
+/// exactly at the heap end, so anything past it faults like a guard region
+/// (Native layouts put the runtime regions above the heap). It cannot
+/// grow: `memory.grow` past it reports −1, like growth past the maximum.
+pub fn run_flat(
+    cm: &CompiledModule,
+    image: &Image,
+    entry: usize,
+    table: &[u8],
+    base_reg: Gpr,
+    args: &[u64],
+    machine: &mut Machine,
+) -> Result<(RunStats, FlatMemory), Trap> {
+    let (layout, regions) = (cm.config.layout, cm.config.regions);
     let heap_base = layout.heap_base;
     let mem_bytes = u64::from(cm.mem_min_pages) * PAGE_SIZE;
-    let max_bytes = u64::from(cm.mem_max_pages) * PAGE_SIZE;
-    debug_assert!(max_bytes <= layout.mem_size.max(mem_bytes));
-
-    // For guard-based layouts the flat memory ends exactly at the heap end,
-    // so anything past it faults — playing the role of the guard region.
-    // Native layouts put the runtime regions above the heap instead.
+    debug_assert!(u64::from(cm.mem_max_pages) * PAGE_SIZE <= layout.mem_size.max(mem_bytes));
     let flat_size = (heap_base + mem_bytes)
         .max(u64::from(regions.stack_top))
-        .max(u64::from(regions.table_base) + cm.table_bytes.len() as u64);
+        .max(u64::from(regions.table_base) + table.len() as u64);
     let mut mem = FlatMemory::new(flat_size as usize);
-
-    // Install runtime regions (current pages, then the stashed heap base
-    // for the §4.1 segment-entry protocol).
-    mem.bytes_mut()[regions.header_base as usize..regions.header_base as usize + 4]
-        .copy_from_slice(&cm.mem_min_pages.to_le_bytes());
-    mem.bytes_mut()[regions.header_base as usize + 8..regions.header_base as usize + 16]
-        .copy_from_slice(&heap_base.to_le_bytes());
-    for (i, g) in cm.globals_init.iter().enumerate() {
-        let at = regions.globals_base as usize + 8 * i;
-        mem.bytes_mut()[at..at + 8].copy_from_slice(&g.to_le_bytes());
-    }
-    let tb = regions.table_base as usize;
-    mem.bytes_mut()[tb..tb + cm.table_bytes.len()].copy_from_slice(&cm.table_bytes);
-    for (off, bytes) in &cm.data {
-        let at = (heap_base + u64::from(*off)) as usize;
-        mem.bytes_mut()[at..at + bytes.len()].copy_from_slice(bytes);
-    }
-
-    // Architectural setup.
-    machine.regs = RegFile::default();
-    machine.regs.gs_base = heap_base;
-    machine.set_gpr(regs::HEAP_BASE, heap_base);
-    let mut sp = u64::from(regions.stack_top);
-    for &a in args {
-        sp -= 8;
-        mem.bytes_mut()[sp as usize..sp as usize + 8].copy_from_slice(&a.to_le_bytes());
-    }
-    machine.set_gpr(Gpr::Rsp, sp);
-
-    // Host dispatcher for the compiler's built-ins.
-    let header_base = u64::from(regions.header_base);
-    let max_pages = cm.mem_max_pages;
-    let image = &cm.image;
-    let mut host = move |id: u32,
-                         regs_: &mut RegFile,
-                         bus: &mut FlatMemory|
-          -> Result<f64, Trap> {
-        let rsp = regs_.gpr(Gpr::Rsp);
-        let arg = |bus: &mut FlatMemory, i: u64| -> Result<u64, Trap> {
-            Ok(bus.load(rsp + 8 * i, Width::Q, sfi_x86::emu::AccessCtx::ALL_ENABLED)?)
-        };
-        match id {
-            hostcall::MEMORY_GROW => {
-                let delta = arg(bus, 0)? as u32;
-                let cur = {
-                    let mut b = [0u8; 4];
-                    b.copy_from_slice(&bus.bytes()[header_base as usize..header_base as usize + 4]);
-                    u32::from_le_bytes(b)
-                };
-                let new = u64::from(cur) + u64::from(delta);
-                if new > u64::from(max_pages)
-                    || (heap_base + new * PAGE_SIZE) as usize > bus.len()
-                {
-                    // The flat harness cannot extend its memory; growth
-                    // beyond the pre-sized region reports failure (-1),
-                    // exactly like `memory.grow` hitting the maximum.
-                    regs_.set_gpr(Gpr::Rax, u64::from(u32::MAX));
-                } else {
-                    let b = new as u32;
-                    bus.bytes_mut()[header_base as usize..header_base as usize + 4]
-                        .copy_from_slice(&b.to_le_bytes());
-                    regs_.set_gpr(Gpr::Rax, u64::from(cur));
-                }
-                Ok(60.0) // mmap-ish cost
-            }
-            hostcall::MEMORY_COPY => {
-                // Args pushed bottom-first: dst, src, len → len on top.
-                let len = arg(bus, 0)? as u32 as u64;
-                let src = arg(bus, 1)? as u32 as u64;
-                let dst = arg(bus, 2)? as u32 as u64;
-                let cur_bytes = heap_bytes(bus, header_base);
-                if src + len > cur_bytes || dst + len > cur_bytes {
-                    return Err(Trap::Mem(sfi_x86::MemFault::OutOfRange {
-                        addr: heap_base + src.max(dst) + len,
-                    }));
-                }
-                let s = (heap_base + src) as usize;
-                let d = (heap_base + dst) as usize;
-                bus.bytes_mut().copy_within(s..s + len as usize, d);
-                Ok(bulk_cycles(len))
-            }
-            hostcall::MEMORY_FILL => {
-                let len = arg(bus, 0)? as u32 as u64;
-                let val = arg(bus, 1)? as u8;
-                let dst = arg(bus, 2)? as u32 as u64;
-                let cur_bytes = heap_bytes(bus, header_base);
-                if dst + len > cur_bytes {
-                    return Err(Trap::Mem(sfi_x86::MemFault::OutOfRange {
-                        addr: heap_base + dst + len,
-                    }));
-                }
-                let d = (heap_base + dst) as usize;
-                bus.bytes_mut()[d..d + len as usize].fill(val);
-                Ok(bulk_cycles(len))
-            }
-            other => Err(Trap::BadControlFlow { target: u64::from(other) }),
-        }
+    let sandbox = abi::Sandbox {
+        regions,
+        heap_base,
+        page_limit: ((flat_size - heap_base) / PAGE_SIZE).min(u64::from(cm.mem_max_pages)),
     };
-
-    let stats = machine
-        .run_image_from(image, entry, &mut mem, &mut host)
-        .map_err(ExecError::Trapped)?;
-
-    let heap = mem.bytes()[heap_base as usize..].to_vec();
-    let result = has_result.then(|| machine.gpr(regs::RET));
-    Ok(ExecOutcome { result, stats, heap })
-}
-
-fn heap_bytes(bus: &FlatMemory, header_base: u64) -> u64 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bus.bytes()[header_base as usize..header_base as usize + 4]);
-    u64::from(u32::from_le_bytes(b)) * PAGE_SIZE
-}
-
-/// Cycle cost of a bulk memory operation: SIMD-ish 16 bytes/cycle plus a
-/// small fixed dispatch cost.
-fn bulk_cycles(len: u64) -> f64 {
-    10.0 + len as f64 / 16.0
+    abi::install_data(&mut mem, heap_base, &cm.data)?;
+    sandbox.enter(&mut machine.regs, &mut mem, cm.mem_min_pages, &cm.globals_init, table, args)?;
+    machine.set_gpr(base_reg, heap_base);
+    let stats = machine.run_image_from(image, entry, &mut mem, &mut |id, regs_, bus| {
+        sandbox
+            .builtin(id, regs_, bus)
+            .unwrap_or(Err(Trap::BadControlFlow { target: u64::from(id) }))
+    })?;
+    Ok((stats, mem))
 }
 
 /// Compares a compiled strategy against the reference interpreter on one

@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod abi;
 pub mod compile;
 pub mod config;
 pub mod fingerprint;

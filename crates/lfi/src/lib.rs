@@ -233,9 +233,9 @@ fn is_heap_operand(m: &Mem, cfg: &LfiConfig) -> bool {
 }
 
 /// Runs an export of a `Strategy::Native`-compiled module after LFI
-/// rewriting, on a fresh machine and flat memory. Returns the (masked)
-/// result and the run counters — the measurement entry point for the
-/// Figure 5 reproduction.
+/// rewriting, on the harness's flat runner with the entry point and table
+/// remapped into the rewritten program. Returns the (masked) result and
+/// the run counters — the measurement entry point for Figure 5.
 ///
 /// # Panics
 ///
@@ -247,42 +247,19 @@ pub fn execute_rewritten(
     export: &str,
     args: &[u64],
 ) -> (u64, sfi_x86::cost::RunStats) {
-    use sfi_x86::emu::{FlatMemory, Machine};
     let rw = rewrite(cm.image.program(), cfg);
     let entry = rw.index_map[cm.export_entry(export).expect("export exists")];
     let image = sfi_x86::emu::Image::load(rw.program).expect("rewritten code encodes");
-    let heap_end = cm.config.layout.heap_base
-        + u64::from(cm.mem_min_pages) * sfi_wasm::PAGE_SIZE;
-    let flat_size = heap_end.max(u64::from(cm.config.regions.stack_top));
-    let mut mem = FlatMemory::new(flat_size as usize);
-    // Install the indirect-call table with entries remapped into the
-    // rewritten program's instruction indices.
-    let tb = cm.config.regions.table_base as usize;
-    for (slot, entry) in cm.table_bytes.chunks_exact(8).enumerate() {
-        let sig = &entry[0..4];
+    let mut table = cm.table_bytes.clone();
+    for entry in table.chunks_exact_mut(8) {
         let old = u32::from_le_bytes(entry[4..8].try_into().expect("4 bytes")) as usize;
-        let new = rw.index_map[old] as u32;
-        mem.bytes_mut()[tb + slot * 8..tb + slot * 8 + 4].copy_from_slice(sig);
-        mem.bytes_mut()[tb + slot * 8 + 4..tb + slot * 8 + 8]
-            .copy_from_slice(&new.to_le_bytes());
+        entry[4..8].copy_from_slice(&(rw.index_map[old] as u32).to_le_bytes());
     }
-    for (off, bytes) in &cm.data {
-        let at = (cm.config.layout.heap_base + u64::from(*off)) as usize;
-        mem.bytes_mut()[at..at + bytes.len()].copy_from_slice(bytes);
-    }
-    let mut machine = Machine::new();
-    machine.regs.gs_base = cm.config.layout.heap_base;
-    machine.set_gpr(cfg.base_reg, cm.config.layout.heap_base);
-    let mut sp = u64::from(cm.config.regions.stack_top);
-    for &a in args {
-        sp -= 8;
-        mem.bytes_mut()[sp as usize..sp as usize + 8].copy_from_slice(&a.to_le_bytes());
-    }
-    machine.set_gpr(sfi_x86::Gpr::Rsp, sp);
-    let stats = machine
-        .run_image_from(&image, entry, &mut mem, &mut |_, _, _| Err(sfi_x86::Trap::Undefined))
-        .expect("rewritten workload runs");
-    (machine.gpr(sfi_x86::Gpr::Rax) & 0xFFFF_FFFF, stats)
+    let mut machine = sfi_x86::emu::Machine::new();
+    let (stats, _) =
+        sfi_core::harness::run_flat(cm, &image, entry, &table, cfg.base_reg, args, &mut machine)
+            .expect("rewritten workload runs");
+    (machine.gpr(Gpr::Rax) & 0xFFFF_FFFF, stats)
 }
 
 #[cfg(test)]
@@ -290,14 +267,20 @@ mod tests {
     use super::*;
     use sfi_core::harness::execute_export;
     use sfi_core::{compile, CompilerConfig, Strategy};
-    use sfi_x86::emu::{FlatMemory, Machine};
 
     fn native_module(src: &str) -> sfi_core::CompiledModule {
         let m = sfi_wasm::wat::parse(src).unwrap();
         compile(&m, &CompilerConfig::for_strategy(Strategy::Native)).unwrap()
     }
 
+    /// `sum` is not the module's first function, calls its loop step
+    /// through the table, and reads a global — so the entry remap, the
+    /// table remap and the globals install all have to be right.
     const SUM_SRC: &str = r#"(module (memory 1)
+        (global $bias (mut i32) (i32.const 1000))
+        (func $step (param $i i32) (result i32)
+          local.get $i i32.const 1 i32.add)
+        (table funcref (elem $step))
         (func (export "sum") (param $n i32) (result i32)
           (local $i i32) (local $acc i32)
           block loop
@@ -311,32 +294,14 @@ mod tests {
             i32.load
             i32.add
             local.set $acc
-            local.get $i i32.const 1 i32.add local.set $i
+            local.get $i i32.const 0 call_indirect (type $step) local.set $i
             br 0
           end end
-          local.get $acc))"#;
+          local.get $acc global.get $bias i32.add))"#;
 
     fn run_rewritten(cm: &sfi_core::CompiledModule, cfg: &LfiConfig, arg: u64) -> (u64, f64) {
-        let rw = rewrite(cm.image.program(), cfg);
-        let image = sfi_x86::emu::Image::load(rw.program).unwrap();
-        let mut mem = FlatMemory::new(
-            (cm.config.layout.heap_base + u64::from(cm.mem_min_pages) * sfi_wasm::PAGE_SIZE)
-                as usize,
-        );
-        let mut machine = Machine::new();
-        machine.regs.gs_base = cm.config.layout.heap_base;
-        machine.set_gpr(cfg.base_reg, cm.config.layout.heap_base);
-        let mut sp = u64::from(cm.config.regions.stack_top);
-        sp -= 8;
-        mem.bytes_mut()[sp as usize..sp as usize + 8].copy_from_slice(&arg.to_le_bytes());
-        machine.set_gpr(sfi_x86::Gpr::Rsp, sp);
-        let entry = cm.export_entry("sum").unwrap();
-        let stats = machine
-            .run_image_from(&image, entry, &mut mem, &mut |_, _, _| {
-                Err(sfi_x86::Trap::Undefined)
-            })
-            .unwrap();
-        (machine.gpr(sfi_x86::Gpr::Rax) & 0xFFFF_FFFF, stats.cycles)
+        let (r, stats) = execute_rewritten(cm, cfg, "sum", &[arg]);
+        (r, stats.cycles)
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The multi-instance runtime: pooled instances executing on the virtual
 //! address space, with ColorGuard PKRU switching on every transition.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sfi_core::compile::{hostcall, CompiledModule};
+use sfi_core::abi;
+use sfi_core::compile::CompiledModule;
 use sfi_core::config::regs;
 use sfi_core::Strategy;
 use sfi_pool::{MemoryPool, PoolConfig, PoolError, QuarantineOutcome, SlotHandle};
@@ -387,9 +389,8 @@ impl Runtime {
             )));
         }
         let slot = self.pool.allocate(&mut self.space)?;
-        for (off, bytes) in &module.data {
-            self.space.write_unchecked(slot.heap_base + u64::from(*off), bytes);
-        }
+        abi::install_data(&mut self.space, slot.heap_base, &module.data)
+            .map_err(|f| RuntimeError::Trapped(Trap::Mem(f)))?;
         let id = self.next_id;
         self.next_id += 1;
         self.instances.insert(
@@ -564,13 +565,14 @@ impl Runtime {
         let entry = module
             .export_entry(export)
             .ok_or_else(|| RuntimeError::NoSuchExport(export.to_owned()))?;
-        let fidx = module.exports[export];
-        let has_result = module.func_has_result[fidx as usize];
-        let regions = module.config.regions;
-        let heap_base = inst.slot.heap_base;
+        let has_result = module.func_has_result[module.exports[export] as usize];
         let pkey = inst.slot.pkey;
-        let max_pages =
-            (self.pool.layout().max_memory_bytes / PAGE_SIZE).min(u64::from(module.mem_max_pages));
+        let sandbox = abi::Sandbox {
+            regions: module.config.regions,
+            heap_base: inst.slot.heap_base,
+            page_limit: (self.pool.layout().max_memory_bytes / PAGE_SIZE)
+                .min(u64::from(module.mem_max_pages)),
+        };
 
         // Scrub the shared low regions (header, globals, table, stack)
         // before writing this instance's state in. Unconditional: a trap in
@@ -578,19 +580,12 @@ impl Runtime {
         // or a partially clobbered table — visible to this one.
         self.space.madvise_dontneed(LOW_REGION_BASE, LOW_REGION_LEN)?;
 
-        // Install per-instance runtime state into the shared low regions.
-        self.space.write_unchecked(
-            u64::from(regions.header_base),
-            &inst.mem_pages.to_le_bytes(),
-        );
-        self.space
-            .write_unchecked(u64::from(regions.header_base) + 8, &heap_base.to_le_bytes());
-        for (i, g) in inst.globals.iter().enumerate() {
-            self.space
-                .write_unchecked(u64::from(regions.globals_base) + 8 * i as u64, &g.to_le_bytes());
-        }
-        self.space
-            .write_unchecked(u64::from(regions.table_base), &module.table_bytes);
+        // Install per-instance runtime state into the shared low regions
+        // and stage the architectural entry.
+        let (regs_, space) = (&mut self.machine.regs, &mut self.space);
+        sandbox
+            .enter(regs_, space, inst.mem_pages, &inst.globals, &module.table_bytes, args)
+            .map_err(|f| RuntimeError::Trapped(Trap::Mem(f)))?;
 
         // Architectural entry protocol.
         let enter = TransitionKind {
@@ -606,130 +601,70 @@ impl Runtime {
         self.telemetry.on_transition(enter, self.config.transition.cycles(enter));
         self.telemetry.trace(TraceKind::Enter, id.0, u64::from(pkey));
 
-        self.machine.regs = RegFile::default();
-        self.machine.regs.gs_base = heap_base;
-        self.machine.set_gpr(regs::HEAP_BASE, heap_base);
         if self.config.colorguard {
             self.machine.regs.pkru = Pkru::only_stripe(pkey).0;
         }
-        let mut sp = u64::from(regions.stack_top);
-        for &a in args {
-            sp -= 8;
-            self.space.write_unchecked(sp, &a.to_le_bytes());
-        }
-        self.machine.set_gpr(Gpr::Rsp, sp);
         if let Some(fuel) = self.config.epoch_fuel {
             self.machine.set_fuel(fuel);
         }
 
-        // Host dispatcher: imports + builtins. Host calls transition out of
+        // Host dispatcher: builtins + imports. Host calls transition out of
         // the sandbox (restore PKRU) and back in.
-        let header_base = u64::from(regions.header_base);
         let colorguard = self.config.colorguard;
         let tm = self.config.transition;
         let mut host_transition_cycles = 0.0f64;
         let mut host_transitions = 0u64;
         let mut host_err: Option<String> = None;
 
-        let stats = {
-            let space = &mut self.space;
-            let module_ref = &module;
-            let mut handler = |fid: u32, regs_: &mut RegFile, bus: &mut AddressSpace| -> Result<f64, Trap> {
-                // Transition out + back in for the host work.
-                let pair = tm.cycles(exit)
-                    + tm.cycles(TransitionKind { colorguard, ..TransitionKind::default() });
-                host_transition_cycles += pair;
-                host_transitions += 2;
-                let saved_pkru = regs_.pkru;
-                regs_.pkru = 0; // host runs with full access
+        let mut handler = |fid: u32, regs_: &mut RegFile, bus: &mut AddressSpace| -> Result<f64, Trap> {
+            // Transition out + back in for the host work.
+            let pair = tm.cycles(exit)
+                + tm.cycles(TransitionKind { colorguard, ..TransitionKind::default() });
+            host_transition_cycles += pair;
+            host_transitions += 2;
+            let saved_pkru = regs_.pkru;
+            regs_.pkru = 0; // host runs with full access
 
-                let rsp = regs_.gpr(Gpr::Rsp);
-                let read_arg = |bus: &mut AddressSpace, i: u64| -> u64 {
-                    let mut b = [0u8; 8];
-                    bus.read_unchecked(rsp + 8 * i, &mut b);
-                    u64::from_le_bytes(b)
-                };
-                let r = match fid {
-                    hostcall::MEMORY_GROW => {
-                        let delta = read_arg(bus, 0) as u32;
-                        let mut cur_b = [0u8; 4];
-                        bus.read_unchecked(header_base, &mut cur_b);
-                        let cur = u32::from_le_bytes(cur_b);
-                        let new = u64::from(cur) + u64::from(delta);
-                        if new > max_pages {
-                            regs_.set_gpr(Gpr::Rax, u64::from(u32::MAX));
-                        } else {
-                            bus.write_unchecked(header_base, &(new as u32).to_le_bytes());
-                            regs_.set_gpr(Gpr::Rax, u64::from(cur));
-                        }
-                        Ok(60.0)
-                    }
-                    hostcall::MEMORY_COPY | hostcall::MEMORY_FILL => {
-                        let len = read_arg(bus, 0) as u32 as u64;
-                        let b_arg = read_arg(bus, 1);
-                        let dst = read_arg(bus, 2) as u32 as u64;
-                        let mut cur_b = [0u8; 4];
-                        bus.read_unchecked(header_base, &mut cur_b);
-                        let cur_bytes = u64::from(u32::from_le_bytes(cur_b)) * PAGE_SIZE;
-                        if dst + len > cur_bytes
-                            || (fid == hostcall::MEMORY_COPY
-                                && (b_arg as u32 as u64) + len > cur_bytes)
-                        {
-                            return Err(Trap::Mem(sfi_x86::MemFault::Unmapped {
-                                addr: heap_base + dst + len,
-                            }));
-                        }
-                        if fid == hostcall::MEMORY_COPY {
-                            let src = b_arg as u32 as u64;
-                            let mut buf = vec![0u8; len as usize];
-                            bus.read_unchecked(heap_base + src, &mut buf);
-                            bus.write_unchecked(heap_base + dst, &buf);
-                        } else {
-                            let buf = vec![b_arg as u8; len as usize];
-                            bus.write_unchecked(heap_base + dst, &buf);
-                        }
-                        Ok(10.0 + len as f64 / 16.0)
-                    }
-                    import_id if (import_id as usize) < module_ref.num_imports as usize => {
-                        // Dispatch to the host API by import name.
-                        let name = module_ref
-                            .import_names
-                            .get(import_id as usize)
-                            .cloned()
-                            .unwrap_or_else(|| format!("import{import_id}"));
-                        let argc = module_ref
-                            .import_arg_counts
-                            .get(import_id as usize)
-                            .copied()
-                            .unwrap_or(0) as u64;
-                        let args: Vec<u64> = (0..argc).map(|i| read_arg(bus, argc - 1 - i)).collect();
-                        // Give the host a copy-in/copy-out heap view.
-                        let mut cur_b = [0u8; 4];
-                        bus.read_unchecked(header_base, &mut cur_b);
-                        let cur_bytes = u64::from(u32::from_le_bytes(cur_b)) * PAGE_SIZE;
-                        let mut heap = vec![0u8; cur_bytes as usize];
-                        bus.read_unchecked(heap_base, &mut heap);
-                        match host.call(&name, &args, &mut heap) {
-                            Ok(r) => {
-                                bus.write_unchecked(heap_base, &heap);
-                                if let Some(v) = r {
-                                    regs_.set_gpr(Gpr::Rax, v);
-                                }
-                                Ok(150.0) // host work dispatch cost
+            let r = match sandbox.builtin(fid, regs_, bus) {
+                Some(r) => r,
+                None if fid < module.num_imports => {
+                    // Dispatch to the host API by import name, with a
+                    // copy-in/copy-out view of the current heap. A
+                    // fault (`?`) ends the run; the exit path below
+                    // restores PKRU.
+                    let i = fid as usize;
+                    let name = module.import_names.get(i).map_or_else(
+                        || Cow::Owned(format!("import{fid}")),
+                        |n| Cow::Borrowed(n.as_str()),
+                    );
+                    let argc = module.import_arg_counts.get(i).copied().unwrap_or(0) as u64;
+                    let args = (0..argc)
+                        .map(|i| abi::stack_arg(bus, regs_, argc - 1 - i))
+                        .collect::<Result<Vec<u64>, _>>()?;
+                    let cur_bytes = u64::from(sandbox.pages(bus)?) * PAGE_SIZE;
+                    let mut heap = vec![0u8; cur_bytes as usize];
+                    bus.read_unchecked(sandbox.heap_base, &mut heap);
+                    match host.call(&name, &args, &mut heap) {
+                        Ok(r) => {
+                            bus.write_unchecked(sandbox.heap_base, &heap);
+                            if let Some(v) = r {
+                                regs_.set_gpr(Gpr::Rax, v);
                             }
-                            Err(msg) => {
-                                host_err = Some(msg);
-                                Err(Trap::Undefined)
-                            }
+                            Ok(150.0) // host work dispatch cost
+                        }
+                        Err(msg) => {
+                            host_err = Some(msg);
+                            Err(Trap::Undefined)
                         }
                     }
-                    other => Err(Trap::BadControlFlow { target: u64::from(other) }),
-                };
-                regs_.pkru = saved_pkru;
-                r
+                }
+                None => Err(Trap::BadControlFlow { target: u64::from(fid) }),
             };
-            self.machine.run_image_from(&module.image, entry, space, &mut handler)
+            regs_.pkru = saved_pkru;
+            r
         };
+        let stats =
+            self.machine.run_image_from(&module.image, entry, &mut self.space, &mut handler);
 
         // Exit transition: restore the full host state (PKRU and segment
         // base) on every path — success, trap, epoch, host error.
@@ -810,19 +745,10 @@ impl Runtime {
         self.telemetry.observe_speculation(&stats, module.config.mitigation);
 
         // Read back per-instance state.
-        let mut hdr = [0u8; 4];
-        self.space.read_unchecked(u64::from(regions.header_base), &mut hdr);
-        let globals_len = {
-            let inst = self.instances.get_mut(&id.0).expect("checked above");
-            inst.mem_pages = u32::from_le_bytes(hdr);
-            inst.globals.len()
-        };
-        for i in 0..globals_len {
-            let mut b = [0u8; 8];
-            self.space
-                .read_unchecked(u64::from(regions.globals_base) + 8 * i as u64, &mut b);
-            self.instances.get_mut(&id.0).expect("checked").globals[i] = u64::from_le_bytes(b);
-        }
+        let inst = self.instances.get_mut(&id.0).expect("checked above");
+        inst.mem_pages = sandbox
+            .read_back(&self.space, &mut inst.globals)
+            .map_err(|f| RuntimeError::Trapped(Trap::Mem(f)))?;
 
         Ok(InvokeOutcome {
             result: has_result.then(|| self.machine.gpr(regs::RET)),

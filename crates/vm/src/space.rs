@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use sfi_x86::emu::{AccessCtx, MemBus};
+use sfi_x86::emu::{AccessCtx, HostBytes, MemBus};
 use sfi_x86::{MemFault, Width};
 
 use crate::chaos::{FaultPlan, SyscallKind};
@@ -521,6 +521,18 @@ impl AddressSpace {
 
 fn round_up(len: u64) -> u64 {
     len.div_ceil(OS_PAGE_SIZE) * OS_PAGE_SIZE
+}
+
+impl HostBytes for AddressSpace {
+    fn read_unchecked(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
+        AddressSpace::read_unchecked(self, addr, buf);
+        Ok(())
+    }
+
+    fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
+        AddressSpace::write_unchecked(self, addr, bytes);
+        Ok(())
+    }
 }
 
 impl MemBus for AddressSpace {

@@ -165,6 +165,15 @@ pub trait MemBus {
     }
 }
 
+/// Host-side byte access to a bus, bypassing protection checks and the
+/// modeled caches: what the sandbox entry ABI is written against.
+pub trait HostBytes {
+    /// Reads `buf.len()` bytes at `addr`.
+    fn read_unchecked(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault>;
+    /// Writes `bytes` at `addr`.
+    fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault>;
+}
+
 /// A flat, fully mapped memory for tests and self-contained benchmarks.
 #[derive(Debug, Clone)]
 pub struct FlatMemory {
@@ -175,16 +184,6 @@ impl FlatMemory {
     /// Creates a zeroed flat memory of `size` bytes.
     pub fn new(size: usize) -> FlatMemory {
         FlatMemory { bytes: vec![0; size] }
-    }
-
-    /// Size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the memory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Direct view of the backing bytes.
@@ -203,6 +202,20 @@ impl FlatMemory {
             return Err(MemFault::OutOfRange { addr });
         }
         Ok(addr as usize)
+    }
+}
+
+impl HostBytes for FlatMemory {
+    fn read_unchecked(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
+        let i = self.check(addr, buf.len() as u64)?;
+        buf.copy_from_slice(&self.bytes[i..i + buf.len()]);
+        Ok(())
+    }
+
+    fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
+        let i = self.check(addr, bytes.len() as u64)?;
+        self.bytes[i..i + bytes.len()].copy_from_slice(bytes);
+        Ok(())
     }
 }
 
@@ -546,8 +559,7 @@ pub type HostHandler<'a, M> = dyn FnMut(u32, &mut RegFile, &mut M) -> Result<f64
 /// The emulator.
 ///
 /// A `Machine` owns register state, caches, and a cost model. Caches stay
-/// warm across [`Machine::run_image`] calls; call [`Machine::reset_caches`]
-/// between unrelated measurements.
+/// warm across [`Machine::run_image`] calls.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Architectural registers.
@@ -618,12 +630,6 @@ impl Machine {
     /// Writes a general-purpose register.
     pub fn set_gpr(&mut self, r: Gpr, v: u64) {
         self.regs.set_gpr(r, v);
-    }
-
-    /// Invalidates both L1 caches (keeps their counters).
-    pub fn reset_caches(&mut self) {
-        self.icache.flush();
-        self.dcache.flush();
     }
 
     /// Shared reference to the data cache (for miss accounting).

@@ -83,6 +83,15 @@ cargo run -q --offline --release -p sfi-bench --bin figX_profile -- --check
 echo "== spectre matrix: leak gates, genprog sweep, mitigation frontier, determinism =="
 cargo run -q --offline --release -p sfi-bench --bin figX_spectre -- --check
 
+echo "== paper binaries: cross-strategy agreement and LFI == native asserts (stdout discarded) =="
+# The paper's headline binaries print tables and write no artifact; running
+# them executes their own result-agreement asserts (about 20 s in total on
+# a 2-core box).
+for bin in fig3_spec2006 table2_binsize fig4_sightglass fig5_lfi_spec2017 \
+           sec61_firefox sec62_wamr_suites table1_invariants sec7_mte; do
+  cargo run -q --offline --release -p sfi-bench --bin "$bin" >/dev/null
+done
+
 echo "== artifact drift: every BENCH_*.json regenerated above matches the committed (or staged) file =="
 # A change that moves an artifact byte must re-record it in the same commit.
 # TRACE_multicore.json is gitignored, so there is no committed copy to diff.
