@@ -46,6 +46,10 @@ use sfi_telemetry::{
 
 /// Rounds per timed check pass (short rounds: ServeConfig::paper_rig).
 const CHECK_ROUNDS: u64 = 3;
+/// Rounds in one timed run of the scrape-under-load gate. Three rounds
+/// take about 30 ms, short enough for scheduler noise to swing the
+/// scraped/dark factor by ±10%.
+const OVERHEAD_ROUNDS: u64 = 12;
 
 /// The request `--check` sends for endpoint `ep`: `/query` needs an
 /// expression, every other endpoint answers its bare path.
@@ -191,7 +195,7 @@ fn check() {
     let factor = check_overhead("scrape-under-load overhead", |scraped| {
         let eng = Mutex::new(ServeEngine::new(cfg.clone()));
         let addr = scraped.then_some(addr.as_str());
-        move || drive(&eng, CHECK_ROUNDS, addr)
+        move || drive(&eng, OVERHEAD_ROUNDS, addr)
     });
 
     // 5. Clean shutdown via /quit.

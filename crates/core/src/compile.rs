@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use sfi_wasm::{Func, Module, Op, ValType};
+use sfi_wasm::{Func, Module, Op, ValType, MAX_PAGES};
 use sfi_x86::emu::Image;
 use sfi_x86::inst::{AluOp, ShiftAmount, ShiftOp};
 use sfi_x86::{Cond, Gpr, Inst, Label, Mem, Program, Provenance, Scale, Width};
@@ -93,7 +93,9 @@ pub struct CompiledModule {
     pub data: Vec<(u32, Vec<u8>)>,
     /// Initial memory pages.
     pub mem_min_pages: u32,
-    /// Maximum memory pages (defaults to the initial size: fixed memory).
+    /// Maximum memory pages: the module's declared maximum, else
+    /// [`MAX_PAGES`], the interpreter's rule. A runner caps growth further at
+    /// what it can back.
     pub mem_max_pages: u32,
     /// Number of imported functions.
     pub num_imports: u32,
@@ -234,7 +236,7 @@ pub fn compile(module: &Module, config: &CompilerConfig) -> Result<CompiledModul
         globals_init: module.globals.iter().map(|g| g.init).collect(),
         data: module.data.clone(),
         mem_min_pages: module.mem_min_pages,
-        mem_max_pages: module.mem_max_pages.unwrap_or(module.mem_min_pages),
+        mem_max_pages: module.mem_max_pages.unwrap_or(MAX_PAGES),
         num_imports,
         import_names: module.imports.iter().map(|i| i.name.clone()).collect(),
         import_arg_counts: module.imports.iter().map(|i| i.params.len() as u32).collect(),

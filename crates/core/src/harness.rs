@@ -13,7 +13,7 @@
 
 use sfi_wasm::PAGE_SIZE;
 use sfi_x86::cost::RunStats;
-use sfi_x86::emu::{FlatMemory, Image, Machine, SpecConfig, SpecError};
+use sfi_x86::emu::{FlatMemory, HostBytes, Image, Machine, SpecConfig, SpecError};
 use sfi_x86::{Gpr, Trap};
 
 use crate::abi;
@@ -77,7 +77,9 @@ pub fn execute_export_on(
     let (stats, mem) =
         run_flat(cm, &cm.image, entry, &cm.table_bytes, regs::HEAP_BASE, args, machine)
             .map_err(ExecError::Trapped)?;
-    let heap = mem.bytes()[cm.config.layout.heap_base as usize..].to_vec();
+    let heap_base = cm.config.layout.heap_base;
+    let mut heap = vec![0; mem.size() - heap_base as usize];
+    mem.read_unchecked(heap_base, &mut heap).expect("the flat memory ends at or past the heap");
     Ok(ExecOutcome { result: has_result.then(|| machine.gpr(regs::RET)), stats, heap })
 }
 
@@ -88,6 +90,8 @@ pub fn execute_export_on(
 /// exactly at the heap end, so anything past it faults like a guard region
 /// (Native layouts put the runtime regions above the heap). It cannot
 /// grow: `memory.grow` past it reports −1, like growth past the maximum.
+/// The memory allocates only the 4 KiB pages the run writes, so a call
+/// costs what it touches, not the 1 MiB below the heap.
 pub fn run_flat(
     cm: &CompiledModule,
     image: &Image,
@@ -97,10 +101,8 @@ pub fn run_flat(
     args: &[u64],
     machine: &mut Machine,
 ) -> Result<(RunStats, FlatMemory), Trap> {
-    let (layout, regions) = (cm.config.layout, cm.config.regions);
-    let heap_base = layout.heap_base;
+    let (heap_base, regions) = (cm.config.layout.heap_base, cm.config.regions);
     let mem_bytes = u64::from(cm.mem_min_pages) * PAGE_SIZE;
-    debug_assert!(u64::from(cm.mem_max_pages) * PAGE_SIZE <= layout.mem_size.max(mem_bytes));
     let flat_size = (heap_base + mem_bytes)
         .max(u64::from(regions.stack_top))
         .max(u64::from(regions.table_base) + table.len() as u64);

@@ -23,20 +23,15 @@
 //! 3. no later instruction observes the `test`'s flags (the fusion
 //!    replaces them with the comparison's flags).
 
-use std::collections::BTreeMap;
-
 use sfi_x86::{Gpr, Inst, Program};
 
-use super::{flags_observable_from, leaders, reads, OptStats};
+use super::{flags_observable_from, reads, OptStats};
 
-pub(crate) fn run(program: &mut Program, stats: &mut OptStats) {
-    let leaders = leaders(program);
-    let resolve: BTreeMap<u32, usize> =
-        program.label_positions().into_iter().map(|(l, p)| (l.0, p)).collect();
-    let insts = program.insts_mut();
-
+pub(crate) fn run(program: &mut Program, leaders: &[bool], stats: &mut OptStats) {
+    let mut scan = Scan { seen: vec![0; program.len()], epoch: 0, work: Vec::new() };
     let mut i = 0;
-    while i + 2 < insts.len() {
+    while i + 2 < program.len() {
+        let insts = program.insts();
         let window = (insts[i], insts[i + 1], insts[i + 2]);
         let (Inst::Setcc { cond, dst }, Inst::TestRR { a, b, .. }, Inst::Jcc { cond: jc, target }) =
             window
@@ -58,14 +53,15 @@ pub(crate) fn run(program: &mut Program, stats: &mut OptStats) {
             || leaders[i + 1]
             || leaders[i + 2]
             // The test's flags must not outlive the branch…
-            || flags_observable_from(insts, &leaders, i + 3)
+            || flags_observable_from(insts, leaders, i + 3)
             // …and neither must the boolean itself, on either path.
-            || !reg_dead_from(insts, &resolve, i + 3, dst)
-            || !resolve.get(&target.0).is_some_and(|&t| reg_dead_from(insts, &resolve, t, dst))
+            || !scan.reg_dead_from(program, i + 3, dst)
+            || !program.resolve(target).is_some_and(|t| scan.reg_dead_from(program, t, dst))
         {
             i += 1;
             continue;
         }
+        let insts = program.insts_mut();
         insts[i] = Inst::Nop;
         insts[i + 1] = Inst::Nop;
         insts[i + 2] = Inst::Jcc { cond: fused, target };
@@ -74,55 +70,69 @@ pub(crate) fn run(program: &mut Program, stats: &mut OptStats) {
     }
 }
 
-/// Conservative "is `r` dead at `start`?": depth-first scan over the
-/// instruction graph; `r` is dead if every path reaches a full redefinition
-/// (or falls off the program) before any read. Calls and indirect jumps are
-/// treated as reads (the callee is outside the analysis), so the answer is
-/// `false` unless provably dead.
-fn reg_dead_from(insts: &[Inst], resolve: &BTreeMap<u32, usize>, start: usize, r: Gpr) -> bool {
-    let mut visited = vec![false; insts.len()];
-    let mut work = vec![start];
-    while let Some(mut i) = work.pop() {
-        loop {
-            if i >= insts.len() {
-                break; // fell off the program: dead on this path
+/// The state of the liveness scans, shared by every scan of one run:
+/// instruction `i` is visited by the current scan when `seen[i] == epoch`,
+/// so starting a scan is one increment, not a fresh `n`-entry vector.
+struct Scan {
+    seen: Vec<u32>,
+    epoch: u32,
+    work: Vec<usize>,
+}
+
+impl Scan {
+    /// Conservative "is `r` dead at `start`?": depth-first scan over the
+    /// instruction graph; `r` is dead if every path reaches a full redefinition
+    /// (or falls off the program) before any read. Calls and indirect jumps are
+    /// treated as reads (the callee is outside the analysis), so the answer is
+    /// `false` unless provably dead.
+    fn reg_dead_from(&mut self, program: &Program, start: usize, r: Gpr) -> bool {
+        let insts = program.insts();
+        self.epoch += 1;
+        self.work.clear();
+        self.work.push(start);
+        while let Some(mut i) = self.work.pop() {
+            loop {
+                if i >= insts.len() {
+                    break; // fell off the program: dead on this path
+                }
+                if self.seen[i] == self.epoch {
+                    break;
+                }
+                self.seen[i] = self.epoch;
+                let inst = insts[i];
+                match inst {
+                    Inst::Call { .. }
+                    | Inst::CallReg { .. }
+                    | Inst::CallHost { .. }
+                    | Inst::JmpReg { .. } => return false,
+                    Inst::Ret | Inst::Ud2 => break, // leaves the function: dead
+                    Inst::Jmp { target } => {
+                        match program.resolve(target) {
+                            Some(t) => i = t,
+                            None => return false,
+                        }
+                        continue;
+                    }
+                    Inst::Jcc { target, .. } => {
+                        match program.resolve(target) {
+                            Some(t) => self.work.push(t),
+                            None => return false,
+                        }
+                    }
+                    _ => {
+                        if reads(&inst, r) {
+                            return false;
+                        }
+                        if super::defines(&inst, r) {
+                            break; // fully overwritten before any read: dead
+                        }
+                    }
+                }
+                i += 1;
             }
-            if visited[i] {
-                break;
-            }
-            visited[i] = true;
-            let inst = insts[i];
-            match inst {
-                Inst::Call { .. } | Inst::CallReg { .. } | Inst::CallHost { .. } | Inst::JmpReg { .. } => {
-                    return false;
-                }
-                Inst::Ret | Inst::Ud2 => break, // leaves the function: dead
-                Inst::Jmp { target } => {
-                    match resolve.get(&target.0) {
-                        Some(&t) => i = t,
-                        None => return false,
-                    }
-                    continue;
-                }
-                Inst::Jcc { target, .. } => {
-                    match resolve.get(&target.0) {
-                        Some(&t) => work.push(t),
-                        None => return false,
-                    }
-                }
-                _ => {
-                    if reads(&inst, r) {
-                        return false;
-                    }
-                    if super::defines(&inst, r) {
-                        break; // fully overwritten before any read: dead
-                    }
-                }
-            }
-            i += 1;
         }
+        true
     }
-    true
 }
 
 #[cfg(test)]
@@ -134,7 +144,8 @@ mod tests {
 
     fn run(p: &mut Program) -> OptStats {
         let mut stats = OptStats::default();
-        super::run(p, &mut stats);
+        let leaders = crate::opt::leaders(p);
+        super::run(p, &leaders, &mut stats);
         stats
     }
 

@@ -17,16 +17,14 @@
 //! dead and becomes `nop` — constant rematerialization downstream often
 //! leaves these behind.
 
-use std::collections::BTreeMap;
-
 use sfi_x86::inst::{AluOp, ShiftAmount, ShiftOp};
 use sfi_x86::{Gpr, Inst, Width};
 
-use super::{flags_observable_from, for_each_use, is_barrier, OptStats};
+use super::{flags_observable_from, for_each_use, is_barrier, OptStats, RegMap};
 
 /// Applies `write_width` semantics to the known-value map: `None` means the
 /// written value is unknown.
-fn write_reg(known: &mut BTreeMap<Gpr, u64>, dst: Gpr, width: Width, v: Option<u64>) {
+fn write_reg(known: &mut RegMap<u64>, dst: Gpr, width: Width, v: Option<u64>) {
     match (width, v) {
         (Width::Q, Some(v)) => {
             known.insert(dst, v);
@@ -37,21 +35,21 @@ fn write_reg(known: &mut BTreeMap<Gpr, u64>, dst: Gpr, width: Width, v: Option<u
         (Width::W | Width::B, Some(v)) => {
             // 8/16-bit writes merge, so the result is only known when the
             // previous full value is known too.
-            if let Some(old) = known.get(&dst).copied() {
+            if let Some(old) = known.get(dst).copied() {
                 let merged = match width {
                     Width::W => (old & !0xFFFF) | (v & 0xFFFF),
                     _ => (old & !0xFF) | (v & 0xFF),
                 };
                 known.insert(dst, merged);
             } else {
-                known.remove(&dst);
+                known.remove(dst);
             }
         }
         (Width::Q | Width::D, None) => {
-            known.remove(&dst);
+            known.remove(dst);
         }
         (Width::W | Width::B, None) => {
-            known.remove(&dst);
+            known.remove(dst);
         }
     }
 }
@@ -106,10 +104,10 @@ fn shift_value(op: ShiftOp, a: u64, n: u32, width: Width) -> u64 {
 
 pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
     // Exact 64-bit value of each register, where known.
-    let mut known: BTreeMap<Gpr, u64> = BTreeMap::new();
+    let mut known: RegMap<u64> = RegMap::default();
     // `mov r, imm` instructions whose value has not been read yet — dead if
     // the register is fully overwritten first.
-    let mut pending: BTreeMap<Gpr, usize> = BTreeMap::new();
+    let mut pending: RegMap<usize> = RegMap::default();
 
     for i in 0..insts.len() {
         if leaders[i] {
@@ -120,7 +118,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
 
         // Any read makes the pending constant live.
         for_each_use(&inst, |r| {
-            pending.remove(&r);
+            pending.remove(r);
         });
 
         if is_barrier(&inst) {
@@ -138,11 +136,11 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
 
         // A full (32/64-bit) overwrite of a pending constant's register
         // proves that constant dead.
-        let kill_full = |pending: &mut BTreeMap<Gpr, usize>,
+        let kill_full = |pending: &mut RegMap<usize>,
                              insts: &mut [Inst],
                              stats: &mut OptStats,
                              dst: Gpr| {
-            if let Some(j) = pending.remove(&dst) {
+            if let Some(j) = pending.remove(dst) {
                 insts[j] = Inst::Nop;
                 stats.dead_consts_removed += 1;
             }
@@ -161,7 +159,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                 if matches!(width, Width::Q | Width::D) {
                     kill_full(&mut pending, insts, stats, dst);
                 }
-                let v = known.get(&src).map(|&v| width.mask(v));
+                let v = known.get(src).map(|&v| width.mask(v));
                 write_reg(&mut known, dst, width, v);
             }
             Inst::Load { dst, width, .. } => {
@@ -172,20 +170,20 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
             }
             Inst::LoadSx { dst, .. } | Inst::LoadZx { dst, .. } | Inst::RdGsBase { dst } => {
                 kill_full(&mut pending, insts, stats, dst);
-                known.remove(&dst);
+                known.remove(dst);
             }
             Inst::Pop { reg } => {
                 kill_full(&mut pending, insts, stats, reg);
-                known.remove(&reg);
+                known.remove(reg);
             }
             Inst::Lea { dst, mem, width } => {
                 let all_known = || -> Option<u64> {
                     let mut ea = mem.disp as i64 as u64;
                     if let Some(b) = mem.base {
-                        ea = ea.wrapping_add(*known.get(&b)?);
+                        ea = ea.wrapping_add(*known.get(b)?);
                     }
                     if let Some((r, s)) = mem.index {
-                        ea = ea.wrapping_add(known.get(&r)?.wrapping_mul(s.factor()));
+                        ea = ea.wrapping_add(known.get(r)?.wrapping_mul(s.factor()));
                     }
                     if mem.addr32 {
                         ea &= 0xFFFF_FFFF;
@@ -209,33 +207,33 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
             }
             Inst::Movzx { dst, src, from } => {
                 kill_full(&mut pending, insts, stats, dst);
-                if let Some(&v) = known.get(&src) {
+                if let Some(&v) = known.get(src) {
                     let value = from.mask(v);
                     insts[i] = const_mov(dst, value);
                     stats.consts_folded += 1;
                     known.insert(dst, value);
                     pending.insert(dst, i);
                 } else {
-                    known.remove(&dst);
+                    known.remove(dst);
                 }
             }
             Inst::Movsx { dst, src, from } => {
                 kill_full(&mut pending, insts, stats, dst);
-                if let Some(&v) = known.get(&src) {
+                if let Some(&v) = known.get(src) {
                     let value = from.sext(v);
                     insts[i] = const_mov(dst, value);
                     stats.consts_folded += 1;
                     known.insert(dst, value);
                     pending.insert(dst, i);
                 } else {
-                    known.remove(&dst);
+                    known.remove(dst);
                 }
             }
             Inst::AluRR { op, dst, src, width } => {
                 if !op.writes_dst() {
                     continue; // cmp: flags only, nothing to fold safely
                 }
-                let v = match (known.get(&dst), known.get(&src)) {
+                let v = match (known.get(dst), known.get(src)) {
                     (Some(&a), Some(&b)) => {
                         Some(alu_value(op, width.mask(a), width.mask(b), width))
                     }
@@ -248,7 +246,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                     continue;
                 }
                 let v = known
-                    .get(&dst)
+                    .get(dst)
                     .map(|&a| alu_value(op, width.mask(a), width.mask(imm as i64 as u64), width));
                 fold_alu(insts, leaders, i, dst, width, v, &mut known, &mut pending, stats);
             }
@@ -263,7 +261,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
             Inst::AluRM { .. } => {}
             Inst::TestRR { .. } => {}
             Inst::Imul { dst, src, width } => {
-                let v = match (known.get(&dst), known.get(&src)) {
+                let v = match (known.get(dst), known.get(src)) {
                     (Some(&a), Some(&b)) => {
                         Some(width.mask(width.mask(a).wrapping_mul(width.mask(b))))
                     }
@@ -274,20 +272,20 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
             }
             Inst::ImulRRI { dst, src, imm, width } => {
                 let v = known
-                    .get(&src)
+                    .get(src)
                     .map(|&a| width.mask(width.mask(a).wrapping_mul(width.mask(imm as i64 as u64))));
                 fold_flagless(insts, i, dst, width, v, &mut known, &mut pending, stats);
             }
             Inst::Div { .. } => {
                 // Never folded, never removed: div-by-zero and quotient
                 // overflow must trap exactly as in baseline code.
-                known.remove(&Gpr::Rax);
-                known.remove(&Gpr::Rdx);
-                pending.remove(&Gpr::Rax);
-                pending.remove(&Gpr::Rdx);
+                known.remove(Gpr::Rax);
+                known.remove(Gpr::Rdx);
+                pending.remove(Gpr::Rax);
+                pending.remove(Gpr::Rdx);
             }
             Inst::Cdq { width } => {
-                let v = known.get(&Gpr::Rax).map(|&a| {
+                let v = known.get(Gpr::Rax).map(|&a| {
                     let neg = width.mask(a) >> width.sign_bit() & 1 == 1;
                     if neg {
                         width.mask(u64::MAX)
@@ -302,7 +300,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                 match amount {
                     ShiftAmount::Imm(raw) => {
                         let n = u32::from(raw) & (bits - 1);
-                        let v = known.get(&dst).map(|&a| shift_value(op, width.mask(a), n, width));
+                        let v = known.get(dst).map(|&a| shift_value(op, width.mask(a), n, width));
                         if n == 0 {
                             // Masked-to-zero count writes no flags.
                             fold_flagless(insts, i, dst, width, v, &mut known, &mut pending, stats);
@@ -319,11 +317,11 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                 }
             }
             Inst::Neg { dst, width } => {
-                let v = known.get(&dst).map(|&a| alu_value(AluOp::Sub, 0, width.mask(a), width));
+                let v = known.get(dst).map(|&a| alu_value(AluOp::Sub, 0, width.mask(a), width));
                 fold_alu(insts, leaders, i, dst, width, v, &mut known, &mut pending, stats);
             }
             Inst::Not { dst, width } => {
-                let v = known.get(&dst).map(|&a| width.mask(!width.mask(a)));
+                let v = known.get(dst).map(|&a| width.mask(!width.mask(a)));
                 fold_flagless(insts, i, dst, width, v, &mut known, &mut pending, stats);
             }
             Inst::Cmov { dst, width, .. } => {
@@ -336,7 +334,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
             }
             Inst::Setcc { dst, .. } => {
                 kill_full(&mut pending, insts, stats, dst);
-                known.remove(&dst);
+                known.remove(dst);
             }
             _ => {}
         }
@@ -354,8 +352,8 @@ fn fold_alu(
     dst: Gpr,
     width: Width,
     v: Option<u64>,
-    known: &mut BTreeMap<Gpr, u64>,
-    pending: &mut BTreeMap<Gpr, usize>,
+    known: &mut RegMap<u64>,
+    pending: &mut RegMap<usize>,
     stats: &mut OptStats,
 ) {
     if let Some(v) = v {
@@ -370,14 +368,14 @@ fn fold_alu(
             return;
         }
     }
-    if let Some(j) = pending.get(&dst).copied() {
+    if let Some(j) = pending.get(dst).copied() {
         // The register is being overwritten, but by an instruction we are
         // keeping; the overwrite still proves the pending constant dead for
         // Q/D widths.
         if matches!(width, Width::Q | Width::D) {
             insts[j] = Inst::Nop;
             stats.dead_consts_removed += 1;
-            pending.remove(&dst);
+            pending.remove(dst);
         }
     }
     write_reg(known, dst, width, v);
@@ -392,8 +390,8 @@ fn fold_flagless(
     dst: Gpr,
     width: Width,
     v: Option<u64>,
-    known: &mut BTreeMap<Gpr, u64>,
-    pending: &mut BTreeMap<Gpr, usize>,
+    known: &mut RegMap<u64>,
+    pending: &mut RegMap<usize>,
     stats: &mut OptStats,
 ) {
     if let Some(v) = v {
@@ -406,11 +404,11 @@ fn fold_flagless(
             return;
         }
     }
-    if let Some(j) = pending.get(&dst).copied() {
+    if let Some(j) = pending.get(dst).copied() {
         if matches!(width, Width::Q | Width::D) {
             insts[j] = Inst::Nop;
             stats.dead_consts_removed += 1;
-            pending.remove(&dst);
+            pending.remove(dst);
         }
     }
     write_reg(known, dst, width, v);

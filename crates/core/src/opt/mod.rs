@@ -81,8 +81,55 @@ pub fn optimize(program: &mut Program) -> OptStats {
     const_fold::run(program.insts_mut(), &leaders, &mut stats);
     redundant::run(program.insts_mut(), &leaders, &mut stats);
     fuse::run(program.insts_mut(), &leaders, &mut stats);
-    branch_fuse::run(program, &mut stats);
+    branch_fuse::run(program, &leaders, &mut stats);
     stats
+}
+
+/// Per-register state for the block-local analyses: one slot per GPR, so a
+/// lookup indexes an array instead of walking a tree. The analyses only
+/// get, insert, remove and clear, never iterate, so the container cannot
+/// change what they emit.
+#[derive(Debug, Default)]
+pub(crate) struct RegMap<T: Copy>([Option<T>; 16]);
+
+impl<T: Copy> RegMap<T> {
+    pub(crate) fn get(&self, r: Gpr) -> Option<&T> {
+        self.0[r.index()].as_ref()
+    }
+
+    pub(crate) fn insert(&mut self, r: Gpr, v: T) {
+        self.0[r.index()] = Some(v);
+    }
+
+    pub(crate) fn remove(&mut self, r: Gpr) -> Option<T> {
+        self.0[r.index()].take()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0 = [None; 16];
+    }
+}
+
+/// A set of GPRs, one bit each.
+#[derive(Debug, Default)]
+pub(crate) struct RegSet(u16);
+
+impl RegSet {
+    pub(crate) fn contains(&self, r: Gpr) -> bool {
+        self.0 >> r.index() & 1 != 0
+    }
+
+    pub(crate) fn insert(&mut self, r: Gpr) {
+        self.0 |= 1 << r.index();
+    }
+
+    pub(crate) fn remove(&mut self, r: Gpr) {
+        self.0 &= !(1 << r.index());
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0 = 0;
+    }
 }
 
 /// `leaders[i]` is true when instruction `i` is a potential join point (a

@@ -20,21 +20,19 @@
 //! checks can trap, and a trap is an architectural effect the optimized
 //! tier must preserve.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use sfi_x86::inst::AluOp;
 use sfi_x86::{Cond, Gpr, Inst, Width};
 
-use super::{flags_observable_from, for_each_def, is_barrier, OptStats};
+use super::{flags_observable_from, for_each_def, is_barrier, OptStats, RegMap, RegSet};
 
 /// Whether executing `inst` leaves `dst`'s upper 32 bits zero (i.e. the
 /// full value equals the zero-extension of its low 32 bits).
-fn makes_clean(inst: &Inst, clean: &BTreeSet<Gpr>) -> Option<(Gpr, bool)> {
+fn makes_clean(inst: &Inst, clean: &RegSet) -> Option<(Gpr, bool)> {
     let val = match *inst {
         // Any 32-bit-destination write zeroes the upper half.
         Inst::MovRR { dst, src, width } => match width {
             Width::D => (dst, true),
-            Width::Q => (dst, clean.contains(&src)),
+            Width::Q => (dst, clean.contains(src)),
             _ => return None, // 8/16-bit writes merge: cleanliness unchanged
         },
         Inst::MovRI { dst, imm, width } => match width {
@@ -99,10 +97,10 @@ fn makes_clean(inst: &Inst, clean: &BTreeSet<Gpr>) -> Option<(Gpr, bool)> {
 
 pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
     // Registers whose upper 32 bits are provably zero.
-    let mut clean: BTreeSet<Gpr> = BTreeSet::new();
+    let mut clean = RegSet::default();
     // Proven unsigned upper bounds: `bound[r] == l` means the full 64-bit
     // value of `r` is <= l (established by a fallen-through `cmp; ja`).
-    let mut bound: BTreeMap<Gpr, i32> = BTreeMap::new();
+    let mut bound: RegMap<i32> = RegMap::default();
 
     let mut i = 0;
     while i < insts.len() {
@@ -121,7 +119,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
 
         // Redundant truncation: `mov r32, r32` on a clean register.
         if let Inst::MovRR { dst, src, width: Width::D } = inst {
-            if dst == src && clean.contains(&dst) {
+            if dst == src && clean.contains(dst) {
                 insts[i] = Inst::Nop;
                 stats.truncs_elided += 1;
                 i += 1;
@@ -137,7 +135,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
         if let Inst::AluRI { op: AluOp::Cmp, dst: r, imm: limit, width: Width::Q } = inst {
             if limit >= 0 && i + 1 < insts.len() && !leaders[i + 1] {
                 if let Inst::Jcc { cond: Cond::A, .. } = insts[i + 1] {
-                    let dominated = bound.get(&r).is_some_and(|&b| b <= limit);
+                    let dominated = bound.get(r).is_some_and(|&b| b <= limit);
                     if dominated && !flags_observable_from(insts, leaders, i + 2) {
                         // r <= recorded <= limit: the branch can never be
                         // taken, and nothing reads the cmp's flags.
@@ -146,7 +144,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                         stats.bounds_checks_elided += 1;
                     } else {
                         // Fallthrough of `ja` proves r <= limit from here.
-                        let new = bound.get(&r).map_or(limit, |&b| b.min(limit));
+                        let new = bound.get(r).map_or(limit, |&b| b.min(limit));
                         bound.insert(r, new);
                     }
                     i += 2;
@@ -163,7 +161,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                 clean.insert(dst);
             }
             Some((dst, false)) => {
-                clean.remove(&dst);
+                clean.remove(dst);
             }
             None => {
                 // 8/16-bit merges preserve the upper half; everything else
@@ -177,7 +175,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
                                 | Inst::Load { width: Width::W | Width::B, .. }
                         )
                     {
-                        clean.remove(&d);
+                        clean.remove(d);
                     }
                 });
             }
@@ -186,7 +184,7 @@ pub(super) fn run(insts: &mut [Inst], leaders: &[bool], stats: &mut OptStats) {
         // truncating self-move, which can only shrink the value.
         if !truncating_self_move {
             for_each_def(&inst, |d| {
-                bound.remove(&d);
+                bound.remove(d);
             });
         }
 

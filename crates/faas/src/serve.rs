@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sfi_telemetry::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_escape, json_snapshot,
+    chrome_trace, chrome_trace_gap_line, json_escape, json_snapshot, push_chrome_trace_line,
     pack_span, percent_decode, prometheus_text, AlertEngine, AlertRule, BucketExemplars,
     CompareOp, CounterId, Cursor, FlightRecorder, FoldedStacks, GaugeId, HttpRequest,
     HttpResponse, RecordingRule, Registry, Retention, RuleSource, SpanLevel, TraceEvent,
@@ -260,20 +260,20 @@ impl ScrapePlane {
     /// valid JSON and shows the gap on the timeline.
     pub(crate) fn trace_body(&self, since: u64) -> String {
         let d = self.stream.events_since(since);
-        let mut lines = Vec::with_capacity(d.events.len() + 1);
-        if d.dropped > 0 {
-            let next_tick = d.events.first().map_or(0, |e| e.tick);
-            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
-        }
-        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
+        let gap = d.dropped > 0;
         let mut body = format!(
             "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
             d.next,
             d.dropped,
-            lines.len()
+            d.events.len() + usize::from(gap)
         );
-        for l in &lines {
-            body.push_str(l);
+        if gap {
+            let next_tick = d.events.first().map_or(0, |e| e.tick);
+            body.push_str(&chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
+            body.push('\n');
+        }
+        for e in &d.events {
+            push_chrome_trace_line(&mut body, e, NS_PER_TICK);
             body.push('\n');
         }
         body

@@ -155,6 +155,15 @@ pub fn json_snapshot(r: &Registry) -> String {
 /// [`crate::span`]) land in the name and args. The mapping is stateless —
 /// one event, one line — so streamed and batch exports stay byte-identical.
 pub fn chrome_trace_line(e: &TraceEvent, ns_per_tick: f64) -> String {
+    let mut line = String::new();
+    push_chrome_trace_line(&mut line, e, ns_per_tick);
+    line
+}
+
+/// Appends [`chrome_trace_line`]`(e)` to `out`, without a fresh `String`
+/// per event.
+pub fn push_chrome_trace_line(out: &mut String, e: &TraceEvent, ns_per_tick: f64) {
+    use core::fmt::Write as _;
     let ts_us = e.tick as f64 * ns_per_tick / 1000.0;
     if e.kind == TraceKind::Flow {
         if let Some(edge) = unpack_span(e.arg) {
@@ -163,7 +172,8 @@ pub fn chrome_trace_line(e: &TraceEvent, ns_per_tick: f64) -> String {
                 (false, true) => "f",
                 _ => "t",
             };
-            return format!(
+            let _ = write!(
+                out,
                 "  {{\"name\": \"span:{}\", \"cat\": \"request\", \"ph\": \"{ph}\", \
                  \"id\": {}, \"ts\": {ts_us:.3}, \"pid\": 0, \"tid\": {}, \
                  \"args\": {{\"detail\": {}}}}}",
@@ -172,18 +182,20 @@ pub fn chrome_trace_line(e: &TraceEvent, ns_per_tick: f64) -> String {
                 e.core,
                 edge.detail,
             );
+            return;
         }
         // A Flow event whose arg doesn't decode falls through to the
         // instant-event shape: visible on the timeline rather than dropped.
     }
-    format!(
+    let _ = write!(
+        out,
         "  {{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"ts\": {ts_us:.3}, \
          \"pid\": 0, \"tid\": {}, \"args\": {{\"sandbox\": {}, \"arg\": {}}}}}",
         e.kind.name(),
         e.core,
         if e.sandbox == u64::MAX { -1i64 } else { e.sandbox as i64 },
         e.arg,
-    )
+    );
 }
 
 /// [`chrome_trace_line`] over a batch, one line per event, in order.

@@ -60,6 +60,7 @@ pub use clock::VirtualClock;
 pub use export::{
     chrome_trace, chrome_trace_gap_line, chrome_trace_line, chrome_trace_lines,
     chrome_trace_wrap, json_escape, json_is_valid, json_snapshot, prometheus_text,
+    push_chrome_trace_line,
 };
 pub use histogram::{CycleHistogram, HISTOGRAM_BUCKETS};
 pub use profile::{BucketExemplars, FoldedStacks};

@@ -343,28 +343,33 @@ impl AddressSpace {
         true
     }
 
-    /// Reads bytes without permission checks (host/debug access).
+    /// Reads bytes without permission checks (host/debug access), one page
+    /// lookup per 4 KiB page; unmaterialized pages read as zero.
     pub fn read_unchecked(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            let page = a / OS_PAGE_SIZE;
-            *b = match self.pages.get(&page) {
-                Some(p) => p[(a % OS_PAGE_SIZE) as usize],
-                None => 0,
-            };
+        let mut done = 0;
+        while done < buf.len() {
+            let (page, off, n) = page_span(addr + done as u64, buf.len() - done);
+            let chunk = &mut buf[done..done + n];
+            match self.pages.get(&page) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+                None => chunk.fill(0),
+            }
+            done += n;
         }
     }
 
-    /// Writes bytes without permission checks (host/debug access).
+    /// Writes bytes without permission checks (host/debug access), one page
+    /// lookup per 4 KiB page, materializing pages as needed.
     pub fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr + i as u64;
-            let page = a / OS_PAGE_SIZE;
+        let mut done = 0;
+        while done < bytes.len() {
+            let (page, off, n) = page_span(addr + done as u64, bytes.len() - done);
             let p = self
                 .pages
                 .entry(page)
                 .or_insert_with(|| vec![0u8; OS_PAGE_SIZE as usize].into_boxed_slice());
-            p[(a % OS_PAGE_SIZE) as usize] = b;
+            p[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
         }
     }
 
@@ -558,6 +563,13 @@ impl MemBus for AddressSpace {
         self.write_unchecked(addr, &val.to_le_bytes()[..width.bytes() as usize]);
         Ok(())
     }
+}
+
+/// The page of `addr`, the offset in it, and how many of `len` bytes from
+/// `addr` fit before the page ends.
+fn page_span(addr: u64, len: usize) -> (u64, usize, usize) {
+    let off = (addr % OS_PAGE_SIZE) as usize;
+    (addr / OS_PAGE_SIZE, off, (OS_PAGE_SIZE as usize - off).min(len))
 }
 
 #[cfg(test)]

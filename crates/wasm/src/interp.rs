@@ -7,7 +7,7 @@
 //! wrap-around arithmetic, 33-bit effective addresses, deterministic traps.
 
 use crate::module::HostImport;
-use crate::{Module, Op, ValType, WasmTrap, PAGE_SIZE};
+use crate::{Module, Op, ValType, WasmTrap, MAX_PAGES, PAGE_SIZE};
 
 /// Host-function dispatcher for imported functions.
 pub trait Host {
@@ -451,7 +451,7 @@ impl<'m> Interpreter<'m> {
                     let delta = pop!() as u32;
                     let old = self.mem_pages();
                     let new = u64::from(old) + u64::from(delta);
-                    let max = u64::from(self.module.mem_max_pages.unwrap_or(65536));
+                    let max = u64::from(self.module.mem_max_pages.unwrap_or(MAX_PAGES));
                     if new > max {
                         stack.push(u32::MAX as u64); // -1
                     } else {

@@ -47,7 +47,7 @@ mod module;
 mod op;
 mod validate;
 
-pub use module::{Func, FuncBuilder, Global, HostImport, Module, PAGE_SIZE};
+pub use module::{Func, FuncBuilder, Global, HostImport, Module, MAX_PAGES, PAGE_SIZE};
 pub use op::{Op, ValType};
 pub use validate::{validate, ValidationError};
 

@@ -7,6 +7,10 @@ use crate::{Op, ValType};
 /// Wasm's linear-memory page size (64 KiB).
 pub const PAGE_SIZE: u64 = 65536;
 
+/// The page count a memory may grow to when it declares no maximum (4 GiB
+/// of 32-bit address space).
+pub const MAX_PAGES: u32 = 65_536;
+
 /// A function: signature, locals and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Func {
@@ -139,7 +143,7 @@ pub struct Module {
     pub globals: Vec<Global>,
     /// Initial linear-memory size in pages.
     pub mem_min_pages: u32,
-    /// Optional maximum memory size in pages.
+    /// Optional maximum memory size in pages ([`MAX_PAGES`] when absent).
     pub mem_max_pages: Option<u32>,
     /// Function table (for `call_indirect`): entries are function indices.
     pub table: Vec<u32>,

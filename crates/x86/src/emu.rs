@@ -174,59 +174,107 @@ pub trait HostBytes {
     fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault>;
 }
 
+/// Bytes per [`FlatMemory`] page.
+const FLAT_PAGE: usize = 4096;
+
 /// A flat, fully mapped memory for tests and self-contained benchmarks.
+///
+/// Every address below `size` is mapped and starts out zero, but a 4 KiB
+/// page is only allocated by its first write: untouched pages read as
+/// zero. A run that touches a few pages of a 1 MiB memory pays for those
+/// pages, not for zeroing the whole range. Faults are those of a plain
+/// `size`-byte buffer: an access that does not end inside the memory
+/// faults at its start address.
 #[derive(Debug, Clone)]
 pub struct FlatMemory {
-    bytes: Vec<u8>,
+    size: usize,
+    pages: Vec<Option<Box<[u8; FLAT_PAGE]>>>,
 }
 
 impl FlatMemory {
     /// Creates a zeroed flat memory of `size` bytes.
     pub fn new(size: usize) -> FlatMemory {
-        FlatMemory { bytes: vec![0; size] }
+        FlatMemory { size, pages: vec![None; size.div_ceil(FLAT_PAGE)] }
     }
 
-    /// Direct view of the backing bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Direct mutable view of the backing bytes.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
+    /// The memory's size in bytes.
+    pub fn size(&self) -> usize {
+        self.size
     }
 
     fn check(&self, addr: u64, len: u64) -> Result<usize, MemFault> {
         let end = addr.checked_add(len).ok_or(MemFault::OutOfRange { addr })?;
-        if end as usize > self.bytes.len() {
+        if end > self.size as u64 {
             return Err(MemFault::OutOfRange { addr });
         }
         Ok(addr as usize)
+    }
+
+    /// The page holding byte `i`, allocated (zeroed) on first use.
+    fn page_mut(&mut self, i: usize) -> &mut [u8; FLAT_PAGE] {
+        self.pages[i / FLAT_PAGE].get_or_insert_with(|| {
+            vec![0u8; FLAT_PAGE].into_boxed_slice().try_into().expect("one page")
+        })
+    }
+
+    /// Copies `buf.len()` checked bytes at `i` out, page by page.
+    fn read_at(&self, mut i: usize, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let off = i % FLAT_PAGE;
+            let n = (FLAT_PAGE - off).min(buf.len() - done);
+            let chunk = &mut buf[done..done + n];
+            match &self.pages[i / FLAT_PAGE] {
+                Some(page) => chunk.copy_from_slice(&page[off..off + n]),
+                None => chunk.fill(0),
+            }
+            (i, done) = (i + n, done + n);
+        }
+    }
+
+    /// Copies `bytes` in at checked offset `i`, page by page.
+    fn write_at(&mut self, mut i: usize, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let off = i % FLAT_PAGE;
+            let n = (FLAT_PAGE - off).min(bytes.len() - done);
+            self.page_mut(i)[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            (i, done) = (i + n, done + n);
+        }
     }
 }
 
 impl HostBytes for FlatMemory {
     fn read_unchecked(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
         let i = self.check(addr, buf.len() as u64)?;
-        buf.copy_from_slice(&self.bytes[i..i + buf.len()]);
+        self.read_at(i, buf);
         Ok(())
     }
 
     fn write_unchecked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let i = self.check(addr, bytes.len() as u64)?;
-        self.bytes[i..i + bytes.len()].copy_from_slice(bytes);
+        self.write_at(i, bytes);
         Ok(())
     }
 }
 
 impl MemBus for FlatMemory {
+    #[inline]
     fn load(&mut self, addr: u64, width: Width, _ctx: AccessCtx) -> Result<u64, MemFault> {
-        let i = self.check(addr, width.bytes())?;
-        let mut buf = [0u8; 8];
-        buf[..width.bytes() as usize].copy_from_slice(&self.bytes[i..i + width.bytes() as usize]);
+        let n = width.bytes() as usize;
+        let i = self.check(addr, n as u64)?;
+        let (off, mut buf) = (i % FLAT_PAGE, [0u8; 8]);
+        if off + n <= FLAT_PAGE {
+            if let Some(page) = &self.pages[i / FLAT_PAGE] {
+                buf[..n].copy_from_slice(&page[off..off + n]);
+            }
+        } else {
+            self.read_at(i, &mut buf[..n]);
+        }
         Ok(u64::from_le_bytes(buf))
     }
 
+    #[inline]
     fn store(
         &mut self,
         addr: u64,
@@ -234,9 +282,14 @@ impl MemBus for FlatMemory {
         val: u64,
         _ctx: AccessCtx,
     ) -> Result<(), MemFault> {
-        let i = self.check(addr, width.bytes())?;
-        self.bytes[i..i + width.bytes() as usize]
-            .copy_from_slice(&val.to_le_bytes()[..width.bytes() as usize]);
+        let n = width.bytes() as usize;
+        let i = self.check(addr, n as u64)?;
+        let (off, bytes) = (i % FLAT_PAGE, val.to_le_bytes());
+        if off + n <= FLAT_PAGE {
+            self.page_mut(i)[off..off + n].copy_from_slice(&bytes[..n]);
+        } else {
+            self.write_at(i, &bytes[..n]);
+        }
         Ok(())
     }
 }
@@ -1424,7 +1477,7 @@ mod tests {
         });
         p.push(Inst::Ret);
         let mut mem = FlatMemory::new(0x200);
-        mem.bytes_mut()[0x108..0x110].copy_from_slice(&0xDEADu64.to_le_bytes());
+        mem.write_unchecked(0x108, &0xDEADu64.to_le_bytes()).unwrap();
         let mut m = Machine::new();
         m.regs.gs_base = 0x100;
         m.set_gpr(Gpr::Rbx, 8);
@@ -1443,7 +1496,7 @@ mod tests {
         });
         p.push(Inst::Ret);
         let mut mem = FlatMemory::new(0x200);
-        mem.bytes_mut()[0x100 + 0x0F] = 0x77;
+        mem.write_unchecked(0x100 + 0x0F, &[0x77]).unwrap();
         let mut m = Machine::new();
         m.regs.gs_base = 0x100;
         // rbx = 2^32 - 1; (rbx + 0x10) mod 2^32 = 0xF.
@@ -1626,13 +1679,14 @@ mod tests {
         p.push(Inst::MovdquStore { src: crate::Xmm(1), mem: Mem::abs(0x30) });
         p.push(Inst::Ret);
         let mut mem = FlatMemory::new(0x100);
-        for i in 0..16 {
-            mem.bytes_mut()[0x10 + i] = i as u8;
-        }
+        let pattern: Vec<u8> = (0..16).collect();
+        mem.write_unchecked(0x10, &pattern).unwrap();
         let mut m = Machine::new();
         let image = Image::load(p).unwrap();
         m.run_image(&image, &mut mem).unwrap();
-        assert_eq!(&mem.bytes()[0x30..0x40], &(0..16).map(|i| i as u8).collect::<Vec<_>>()[..]);
+        let mut out = [0u8; 16];
+        mem.read_unchecked(0x30, &mut out).unwrap();
+        assert_eq!(&out[..], &pattern[..]);
     }
 
     #[test]
@@ -1765,7 +1819,10 @@ mod tests {
             assert_eq!(m_off.gpr(r), m_on.gpr(r), "gpr {r:?} must roll back");
         }
         assert_eq!(m_off.regs.flags, m_on.regs.flags);
-        assert_eq!(mem_off.bytes(), mem_on.bytes(), "spec stores must never hit memory");
+        let (mut off, mut on) = (vec![0u8; mem_off.size()], vec![0u8; mem_on.size()]);
+        mem_off.read_unchecked(0, &mut off).unwrap();
+        mem_on.read_unchecked(0, &mut on).unwrap();
+        assert_eq!(off, on, "spec stores must never hit memory");
     }
 
     #[test]

@@ -77,38 +77,46 @@ impl Encoded {
     }
 }
 
+/// One instruction's bytes, in a fixed buffer: x86-64 caps an instruction
+/// at 15 bytes, so encoding never allocates.
 struct Enc {
-    bytes: Vec<u8>,
+    buf: [u8; 16],
+    len: usize,
 }
 
 impl Enc {
     fn new() -> Enc {
-        Enc { bytes: Vec::with_capacity(8) }
+        Enc { buf: [0; 16], len: 0 }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self
     }
 
     fn b(&mut self, byte: u8) -> &mut Self {
-        self.bytes.push(byte);
-        self
+        self.put(&[byte])
     }
 
     fn imm8(&mut self, v: i8) -> &mut Self {
-        self.bytes.push(v as u8);
-        self
+        self.put(&[v as u8])
     }
 
     fn imm16(&mut self, v: i16) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
+        self.put(&v.to_le_bytes())
     }
 
     fn imm32(&mut self, v: i32) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
+        self.put(&v.to_le_bytes())
     }
 
     fn imm64(&mut self, v: i64) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
+        self.put(&v.to_le_bytes())
     }
 
     /// Emits legacy prefixes for a memory operand (segment, address-size)
@@ -234,13 +242,13 @@ fn byte_reg_forces_rex(width: Width, reg: Gpr) -> bool {
 /// Branches and calls are encoded with their largest (near, rel32) form;
 /// use [`encode_program`] to get relaxed (short where possible) encodings.
 pub fn encode_inst(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
-    encode_with(inst, |_| 0x7FFF_FFFF)
+    Ok(encode_with(inst, |_| 0x7FFF_FFFF)?.bytes().to_vec())
 }
 
 /// Encodes one instruction, resolving branch targets through `target_disp`
 /// (which maps a label to the rel32 displacement from the *end* of this
 /// instruction, assuming its near form).
-fn encode_with(inst: &Inst, target_disp: impl Fn(Label) -> i64) -> Result<Vec<u8>, EncodeError> {
+fn encode_with(inst: &Inst, target_disp: impl Fn(Label) -> i64) -> Result<Enc, EncodeError> {
     let mut e = Enc::new();
     match *inst {
         Inst::MovRR { dst, src, width } => {
@@ -650,7 +658,7 @@ fn encode_with(inst: &Inst, target_disp: impl Fn(Label) -> i64) -> Result<Vec<u8
             e.b(0x90);
         }
     }
-    Ok(e.bytes)
+    Ok(e)
 }
 
 fn cond_code(c: Cond) -> u8 {
@@ -676,15 +684,23 @@ fn cond_code(c: Cond) -> u8 {
 /// Relaxation starts from the all-near encoding and repeatedly shrinks
 /// branches whose displacement fits; since shrinking only moves code closer
 /// together, the iteration converges.
+///
+/// Only `jmp`, `jcc` and `call` read their target's displacement, so every
+/// other instruction is encoded once: the final emission copies its pass-1
+/// bytes.
 pub fn encode_program(p: &Program) -> Result<Encoded, EncodeError> {
     p.check_labels().map_err(EncodeError::UnboundLabel)?;
     let n = p.len();
-    // Pass 1: compute instruction lengths with all-near branches.
+    // Pass 1: every instruction with all-near branches.
+    let mut near = Vec::with_capacity(4 * n);
     let mut lens: Vec<u32> = Vec::with_capacity(n);
     for inst in p.insts() {
-        lens.push(encode_with(inst, |_| 0x7FFF_FFFF)?.len() as u32);
+        let enc = encode_with(inst, |_| 0x7FFF_FFFF)?;
+        near.extend_from_slice(enc.bytes());
+        lens.push(enc.len as u32);
     }
-    let mut offsets = prefix_offsets(&lens);
+    let near_offsets = prefix_offsets(&lens);
+    let mut offsets = near_offsets.clone();
 
     // Iterate: re-encode branches with real displacements; lengths only
     // shrink, so this converges (bounded by instruction count).
@@ -699,7 +715,7 @@ pub fn encode_program(p: &Program) -> Result<Encoded, EncodeError> {
                 let t = p.resolve(l).expect("checked above");
                 i64::from(offsets[t]) - i64::from(end)
             })?
-            .len() as u32;
+            .len as u32;
             if len < lens[i] {
                 lens[i] = len;
                 changed = true;
@@ -714,13 +730,17 @@ pub fn encode_program(p: &Program) -> Result<Encoded, EncodeError> {
     // Final emission.
     let mut bytes = Vec::with_capacity(offsets.last().copied().unwrap_or(0) as usize);
     for (i, inst) in p.insts().iter().enumerate() {
+        if !matches!(inst, Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::Call { .. }) {
+            bytes.extend_from_slice(&near[near_offsets[i] as usize..near_offsets[i + 1] as usize]);
+            continue;
+        }
         let end = offsets[i] + lens[i];
         let enc = encode_with(inst, |l| {
             let t = p.resolve(l).expect("checked above");
             i64::from(offsets[t]) - i64::from(end)
         })?;
-        debug_assert_eq!(enc.len() as u32, lens[i], "length drift for {inst}");
-        bytes.extend_from_slice(&enc);
+        debug_assert_eq!(enc.len as u32, lens[i], "length drift for {inst}");
+        bytes.extend_from_slice(enc.bytes());
     }
     Ok(Encoded { bytes, offsets })
 }

@@ -20,7 +20,8 @@ const PAGE: u64 = 65536;
 /// first (so copy direction is visible), then run the built-in and return
 /// `memory.size`. `grow` returns `(memory.size << 16) | old_size`, so one
 /// result shows both the old size and the size seen in the same invoke.
-/// The memory has no maximum, so it cannot grow; see [`growable_module`].
+/// The memory declares no maximum, so it may grow to 65,536 pages, the
+/// interpreter's rule; each runner caps growth at what it can back.
 const BULK: &str = r#"(module (memory 1)
     (global $g (mut i64) (i64.const 7))
     (func $pattern
@@ -79,6 +80,11 @@ fn growable_module() -> Module {
     wat::parse(&BULK.replacen("(memory 1)", "(memory 1 2)", 1)).expect("parses")
 }
 
+/// [`BULK`] with a declared maximum above what the flat harness backs.
+fn bounded_module() -> Module {
+    wat::parse(&BULK.replacen("(memory 1)", "(memory 1 4)", 1)).expect("parses")
+}
+
 /// A ColorGuard runtime whose slots back two pages, so growth can succeed
 /// once and then hit the pool's limit.
 fn runtime() -> Runtime {
@@ -97,6 +103,35 @@ fn every_case_matches_the_interpreter_on_the_flat_harness() {
     for (name, export, args) in CASES {
         eprintln!("case: {name}");
         differential_check(&m, export, args);
+    }
+}
+
+/// A maximum the flat harness cannot back is still a valid module: growth
+/// there reports −1, and nothing else changes.
+#[test]
+fn a_maximum_beyond_the_compile_layout_passes_the_flat_harness() {
+    let m = bounded_module();
+    for (name, export, args) in CASES {
+        eprintln!("case: {name}");
+        differential_check(&m, export, args);
+    }
+}
+
+/// A memory without a declared maximum grows as far as the slot backs, as
+/// the interpreter's would.
+#[test]
+fn a_memory_without_a_maximum_grows_on_the_runtime() {
+    let m = module();
+    let mut interp = Interpreter::new(&m).expect("instantiates");
+    let expected = interp.invoke_export("grow", &[1]).expect("grows");
+    assert_eq!(expected, Some(2 << 16 | 1), "the interpreter grows from one page to two");
+    for strategy in [Strategy::GuardRegion, Strategy::Segue] {
+        let mut rt = runtime();
+        let id = rt.instantiate(compiled(&m, &CompilerConfig::for_strategy(strategy))).expect("slot");
+        let grow = rt.invoke(id, "grow", &[1]).expect("runs").result.map(|r| r & 0xFFFF_FFFF);
+        assert_eq!(grow, expected, "{strategy}: memory.grow 1 returns the old size");
+        let again = rt.invoke(id, "grow", &[1]).expect("runs").result.map(|r| r & 0xFFFF_FFFF);
+        assert_eq!(again, Some(0xFFFF_FFFF), "{strategy}: the two-page slot is full");
     }
 }
 
