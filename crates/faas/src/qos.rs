@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use crate::sim::fault_draw;
+use sfi_vm::fault_draw;
 
 /// The SLO class of a tenant's requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -36,10 +36,11 @@ use sfi_telemetry::{
     pack_span, BucketExemplars, CycleHistogram, FlightRecorder, Registry, SpanLevel, TraceEvent,
     TraceKind,
 };
+use sfi_vm::fault_draw;
 
 use crate::hashlb::HashRing;
 use crate::qos::{tenant_class, Admission, ClassReport, QosConfig, QosQueues, QosReport, SloClass};
-use crate::sim::{fault_draw, generate_stream, ArrivalModel};
+use crate::sim::{generate_stream, ArrivalModel};
 use crate::{FaasWorkload, ScalingMode, SimCosts};
 
 /// One scheduling epoch / preemption quantum (ns).

@@ -27,6 +27,7 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sfi_vm::fault_draw;
 
 use crate::hashlb::HashRing;
 use crate::regex::{Dfa, Regex};
@@ -568,20 +569,6 @@ fn generate_requests(cfg: &SimConfig) -> Vec<Request> {
     )
 }
 
-/// Stateless fault draw: uniform in [0, 1) from (seed, stream, index) —
-/// the same construction the vm chaos layer uses, so fault schedules are a
-/// pure function of the seed.
-pub(crate) fn fault_draw(seed: u64, stream: u64, index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(index.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Runs the simulation.
 pub fn simulate(cfg: &SimConfig) -> SimReport {
     let requests = generate_requests(cfg);
@@ -974,28 +961,44 @@ mod tests {
 
     #[test]
     fn degradation_is_graceful_and_monotone() {
-        let at = |rate: f64| {
-            let mut cfg = SimConfig::paper_rig(FaasWorkload::HashLoadBalance, ScalingMode::ColorGuard);
-            cfg.duration_ms = 600;
-            cfg.failures = FailureModel::with_trap_rate(rate);
-            simulate(&cfg)
-        };
-        let clean = at(0.0);
-        let light = at(0.1);
-        let heavy = at(0.4);
-        assert!(light.throughput_rps <= clean.throughput_rps);
-        assert!(heavy.throughput_rps < light.throughput_rps);
-        // Graceful: even at a 40% per-stage trap rate the platform keeps
-        // completing a meaningful share of the load — no cliff to zero.
-        assert!(
-            heavy.throughput_rps > 0.25 * clean.throughput_rps,
-            "collapse: {} vs clean {}",
-            heavy.throughput_rps,
-            clean.throughput_rps
-        );
-        assert!(heavy.faults > light.faults);
-        assert!(heavy.goodput_rps < heavy.throughput_rps || heavy.retries == 0);
-        assert!(heavy.availability > 0.5, "retries keep most requests alive");
+        // Relative throughput drop at the 10% and 40% trap rates, per mode.
+        let mut drops = Vec::new();
+        for mode in [ScalingMode::ColorGuard, ScalingMode::MultiProcess { processes: 15 }] {
+            let at = |rate: f64| {
+                let mut cfg = SimConfig::paper_rig(FaasWorkload::HashLoadBalance, mode);
+                cfg.duration_ms = 600;
+                cfg.failures = FailureModel::with_trap_rate(rate);
+                simulate(&cfg)
+            };
+            let clean = at(0.0);
+            let light = at(0.1);
+            let heavy = at(0.4);
+            assert!(light.throughput_rps <= clean.throughput_rps, "{mode:?}");
+            assert!(heavy.throughput_rps < light.throughput_rps, "{mode:?}");
+            // Graceful: even at a 40% per-stage trap rate the platform keeps
+            // completing a meaningful share of the load — no cliff to zero.
+            assert!(
+                heavy.throughput_rps > 0.25 * clean.throughput_rps,
+                "{mode:?} collapse: {} vs clean {}",
+                heavy.throughput_rps,
+                clean.throughput_rps
+            );
+            assert!(heavy.faults > light.faults, "{mode:?}");
+            assert!(heavy.goodput_rps < heavy.throughput_rps || heavy.retries == 0, "{mode:?}");
+            assert!(heavy.availability > 0.5, "{mode:?}: retries keep most requests alive");
+            let drop = |r: &SimReport| 1.0 - r.throughput_rps / clean.throughput_rps;
+            drops.push([drop(&light), drop(&heavy)]);
+        }
+        // Containment cost is mode-independent: both modes lose the same
+        // share of throughput to the same trap rate, within 2 points.
+        for (rate, (cg, mp)) in ["10%", "40%"].iter().zip(drops[0].iter().zip(drops[1])) {
+            assert!(
+                (cg - mp).abs() <= 0.02,
+                "drop at {rate}: ColorGuard {:.1}% vs Multiprocess {:.1}%",
+                cg * 100.0,
+                mp * 100.0
+            );
+        }
     }
 
     #[test]

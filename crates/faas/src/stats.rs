@@ -48,15 +48,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Nearest-rank percentile by the index rule `sorted[⌊(len−1)·p⌋]` — the
 /// one formula every report in this workspace uses for latency tails, kept
 /// here so no bench or simulator re-derives its own variant. Empty input
@@ -162,9 +153,7 @@ mod tests {
     #[test]
     fn summary_stats() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138).abs() < 0.01);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
     }
 }

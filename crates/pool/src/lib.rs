@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod buggy;
-pub mod chain;
 pub mod invariants;
 pub mod verify;
 

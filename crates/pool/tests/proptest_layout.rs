@@ -110,28 +110,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #[test]
-    fn chains_always_satisfy_the_safety_condition(
-        sizes in proptest::collection::vec(1u64..8, 1..60),
-        stripes in 2u8..=15,
-        reach_pages in 2u64..64,
-    ) {
-        let sizes: Vec<u64> = sizes.iter().map(|s| s * WASM_PAGE_SIZE).collect();
-        let chain = sfi_pool::chain::Chain::pack(&sizes, stripes, reach_pages * WASM_PAGE_SIZE)
-            .expect("aligned sizes pack");
-        prop_assert_eq!(chain.check(), None, "{:?}", chain);
-        prop_assert_eq!(chain.slots().len(), sizes.len());
-        // More stripes never hurts density.
-        if stripes < 15 {
-            let more = sfi_pool::chain::Chain::pack(
-                &sizes,
-                15,
-                reach_pages * WASM_PAGE_SIZE,
-            )
-            .expect("packs");
-            prop_assert!(more.total_bytes() <= chain.total_bytes());
-        }
-    }
-}

@@ -158,6 +158,22 @@ impl ChaosStats {
     }
 }
 
+/// SplitMix64-style stateless hash of `(seed, stream, index)` to a uniform
+/// `f64` in [0, 1). Every seeded fault schedule in the workspace draws
+/// from it — [`FaultPlan`] here and the FaaS simulators' trap, shed and
+/// steal draws — so each schedule is a pure function of its seed.
+#[inline]
+pub fn fault_draw(seed: u64, stream: u64, index: u64) -> f64 {
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add(index.wrapping_mul(0x94D0_49BB_1331_11EB));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A deterministic fault-injection plan.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -239,18 +255,9 @@ impl FaultPlan {
         self
     }
 
-    /// SplitMix64-style stateless hash of (seed, stream, index) to a
-    /// uniform `f64` in [0, 1).
+    /// This plan's [`fault_draw`] for `(stream, index)`.
     fn draw(&self, stream: u64, index: u64) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(index.wrapping_mul(0x94D0_49BB_1331_11EB));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        fault_draw(self.seed, stream, index)
     }
 
     /// Records one call of `kind` and decides whether it faults.

@@ -37,5 +37,5 @@ pub mod tlb;
 
 mod space;
 
-pub use chaos::{ChaosConfig, ChaosStats, EngineFault, FaultPlan, SyscallKind};
+pub use chaos::{fault_draw, ChaosConfig, ChaosStats, EngineFault, FaultPlan, SyscallKind};
 pub use space::{AddressSpace, MapError, Prot, VmaInfo, DEFAULT_MAX_MAP_COUNT, OS_PAGE_SIZE};
